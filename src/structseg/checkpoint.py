@@ -1,8 +1,7 @@
 """Single-file checkpoint format: JSON header line + raw little-endian float64.
 
 The header records tensor names, shapes and byte offsets into the binary
-section that follows; round-trips are bit-exact. The same container backs
-dataset sample caches.
+section that follows; round-trips are bit-exact.
 """
 
 from __future__ import annotations

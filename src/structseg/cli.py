@@ -4,8 +4,9 @@ Subcommands: train, evaluate, ablate, gradcheck, oracle, dump. Configs are
 JSON files whose keys mirror TrainConfig; any field can be overridden with
 a ``--key value`` flag. Unknown config keys are hard errors.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-abort (non-finite loss or parameters).
+Exit codes: 0 success, 1 check failure, 2 usage/config error (including
+an unreadable --config or --checkpoint file), 3 numeric abort (non-finite
+loss or parameters).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as tensor_mod
+from . import verification
 from .cutmix import generate_boxes, compose_image
 from .synthdata import save_pgm, save_ppm
 from .tensor import NonFiniteError, no_grad
@@ -87,7 +88,7 @@ def _timestamp() -> str:
 
 
 def _metrics_row(rec: StepRecord) -> str:
-    vals = [repr(rec.lr)] + [repr(v) for v in rec.losses.csv_values()]
+    vals = [repr(rec.lr)] + [repr(v) for v in rec.losses]
     return ",".join([str(rec.step)] + vals)
 
 
@@ -183,12 +184,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.corrupt_op:
-        tensor_mod.set_corrupt_backward(args.corrupt_op)
+    verification.CORRUPT_OP = args.corrupt_op
     try:
         report = run_gradcheck(n_seeds=args.seeds_count, seed0=args.seed or 0)
     finally:
-        tensor_mod.set_corrupt_backward(None)
+        verification.CORRUPT_OP = None
     ok = True
     for name, err in report.items():
         status = "PASS" if err < GRAD_TOLERANCE else "FAIL"
@@ -209,6 +209,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    net = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
     out_dir = Path(args.out_dir or "dumps")
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = cfg.make_dataset()
@@ -225,8 +226,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
     save_ppm(out_dir / "cutmix-composed.ppm", compose_image(ua, ub, boxset))
     save_pgm(out_dir / "cutmix-mask.pgm", boxset.mask.astype(np.int64), 2)
     (out_dir / "cutmix-boxes.json").write_text(boxset.to_json())
-    if args.checkpoint:
-        net, ema_state, meta = load_checkpoint(args.checkpoint)
+    if net is not None:
         with no_grad():
             for i in range(min(args.count, cfg.n_validation)):
                 scene = ds.validation(i)
@@ -295,6 +295,12 @@ def main(argv: Optional[list] = None) -> int:
     except NonFiniteError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return 3
+    except OSError as e:
+        inputs = (getattr(args, "config", None), getattr(args, "checkpoint", None))
+        if e.filename is None or e.filename not in inputs:
+            raise
+        print(f"cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,8 +25,6 @@ COVERAGE_LOW = 0.45
 COVERAGE_HIGH = 0.55
 MAX_COVERAGE_ATTEMPTS = 100
 
-PAIR_MODES = ("ordered", "ordered_nodiag", "unordered", "unordered_nodiag")
-
 
 @dataclass(frozen=True)
 class Box:
@@ -82,16 +80,6 @@ class BoxSet:
             "boxes": [[b.x0, b.y0, b.w, b.h, b.paste_index] for b in self.boxes],
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BoxSet":
-        d = json.loads(text)
-        boxes = [Box(x0, y0, w, h, pi) for x0, y0, w, h, pi in d["boxes"]]
-        n_box = d["active_range"][1] - d["active_range"][0] + 1
-        bs = boxset_from_boxes(boxes, d["height"], d["width"], n_box=n_box)
-        bs.seed = d["seed"]
-        bs.coverage_warning = d.get("coverage_warning")
-        return bs
-
 
 @dataclass
 class BoxPairs:
@@ -108,7 +96,6 @@ class PairSet:
     """Sampled pixel-index pairs per active box under a shared budget."""
     per_box: List[BoxPairs] = field(default_factory=list)
     budget: int = 0
-    mode: str = "ordered"
 
     @property
     def total_pairs(self) -> int:
@@ -230,38 +217,6 @@ def compose_predictions(pa: PredictionMap, pb: PredictionMap, boxset: BoxSet) ->
     return PredictionMap(mixed, validate=False)
 
 
-def _pair_universe(m: int, mode: str) -> int:
-    if mode == "ordered":
-        return m * m
-    if mode == "ordered_nodiag":
-        return m * (m - 1)
-    if mode == "unordered":
-        return m * (m + 1) // 2
-    if mode == "unordered_nodiag":
-        return m * (m - 1) // 2
-    raise ValueError(f"unknown pair mode {mode!r}, expected one of {PAIR_MODES}")
-
-
-def _decode_pairs(q: np.ndarray, m: int, mode: str):
-    """Map flat pair indices to (i, j) positions within a box region."""
-    if mode == "ordered":
-        return q // m, q % m
-    if mode == "ordered_nodiag":
-        i = q // (m - 1)
-        r = q % (m - 1)
-        return i, r + (r >= i)
-    # triangular decodes: row starts precomputed, m is at most H*W
-    if mode == "unordered":
-        row_len = m - np.arange(m)
-    else:
-        row_len = m - 1 - np.arange(m)
-    starts = np.concatenate(([0], np.cumsum(row_len)))
-    i = np.searchsorted(starts, q, side="right") - 1
-    off = q - starts[i]
-    j = i + off if mode == "unordered" else i + 1 + off
-    return i, j
-
-
 def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """k distinct integers from [0, n), uniform, O(k) memory, sorted.
 
@@ -291,28 +246,20 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.setdiff1d(np.arange(n, dtype=np.int64), excluded, assume_unique=True)
 
 
-def drop_pairs(boxset: BoxSet, n_pair: int, rng: np.random.Generator,
-               mode: str = "ordered") -> PairSet:
-    """Per active box, keep all pixel pairs when they fit the budget, else
-    sample exactly n_pair of them uniformly without replacement."""
+def drop_pairs(boxset: BoxSet, n_pair: int, rng: np.random.Generator) -> PairSet:
+    """Per active box, keep all m*m ordered pixel pairs when they fit the
+    budget, else sample exactly n_pair of them uniformly without
+    replacement; flat pair q decodes to (q // m, q % m)."""
     if n_pair < 1:
         raise ValueError(f"drop_pairs: budget must be >= 1, got {n_pair}")
-    if mode not in PAIR_MODES:
-        raise ValueError(f"drop_pairs: unknown pair mode {mode!r}")
     lo, hi = boxset.active_range
     per_box = []
     for paste_index in range(lo, hi + 1):
         region = boxset.effective_regions[paste_index - 1]
         m = len(region)
-        empty = np.empty(0, dtype=np.int64)
-        if m == 0 or (m == 1 and mode.endswith("nodiag")):
-            per_box.append(BoxPairs(paste_index, empty, empty))
-            continue
-        universe = _pair_universe(m, mode)
-        if universe <= n_pair:
-            q = np.arange(universe, dtype=np.int64)
+        if m * m <= n_pair:
+            q = np.arange(m * m, dtype=np.int64)
         else:
-            q = _sample_distinct(rng, universe, n_pair)
-        pi, pj = _decode_pairs(q, m, mode)
-        per_box.append(BoxPairs(paste_index, region[pi], region[pj]))
-    return PairSet(per_box=per_box, budget=n_pair, mode=mode)
+            q = _sample_distinct(rng, m * m, n_pair)
+        per_box.append(BoxPairs(paste_index, region[q // m], region[q % m]))
+    return PairSet(per_box=per_box, budget=n_pair)

@@ -49,9 +49,6 @@ class PredictionMap:
     def detach(self) -> "PredictionMap":
         return PredictionMap(self.probs.detach(), validate=False)
 
-    def argmax_labels(self) -> np.ndarray:
-        return np.argmax(self.probs.data, axis=2)
-
 
 def check_label_map(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Validate an H x W integer label map (IGNORE sentinel allowed)."""

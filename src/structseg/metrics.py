@@ -34,13 +34,6 @@ class ConfusionMatrix:
             raise ValueError(f"accumulate: truth class outside [0, {self.num_classes})")
         np.add.at(self.counts, (t, p), 1)
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        self.counts += other.counts
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def miou(cm: ConfusionMatrix) -> Tuple[List[float], float]:
     """Per-class IoU (nan for classes absent from both truth and

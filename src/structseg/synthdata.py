@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import colorsys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from . import checkpoint
 from .maps import IGNORE
 
 SPLIT_LABELED = 0
@@ -45,8 +44,6 @@ class Shape:
 class AugmentedPair:
     ua: np.ndarray
     ub: np.ndarray
-    record_a: list
-    record_b: list
 
 
 def class_color(cls: int, num_classes: int) -> np.ndarray:
@@ -129,47 +126,22 @@ def generate_scene(rng: Union[np.random.Generator, int], height: int, width: int
     return SceneSample(image=image, labels=labels, seed=seed)
 
 
-def augment(rng: np.random.Generator, image: np.ndarray,
-            p: float = 0.5) -> Tuple[np.ndarray, list]:
-    """Photometric/flip augmentation; each op fires with probability p.
-
-    Returns the augmented image and an ordered record of applied ops so
-    downstream consumers can reproduce or audit the geometry.
-    """
+def augment(rng: np.random.Generator, image: np.ndarray, p: float = 0.5) -> np.ndarray:
+    """Photometric/flip augmentation; each op (horizontal flip, brightness
+    shift, Gaussian noise) fires with probability p."""
     out = image.copy()
-    record = []
     if rng.random() < p:
         out = out[:, ::-1, :].copy()
-        record.append(("hflip",))
     if rng.random() < p:
-        delta = float(rng.uniform(-AUGMENT_BRIGHTNESS, AUGMENT_BRIGHTNESS))
-        out = out + delta
-        record.append(("brightness", delta))
+        out = out + float(rng.uniform(-AUGMENT_BRIGHTNESS, AUGMENT_BRIGHTNESS))
     if rng.random() < p:
         out = out + rng.normal(0.0, AUGMENT_NOISE_SIGMA, size=out.shape)
-        record.append(("noise", AUGMENT_NOISE_SIGMA))
-    return np.clip(out, 0.0, 1.0), record
-
-
-def apply_transform_record(image: np.ndarray, record: list) -> np.ndarray:
-    """Re-apply a transform record (noise entries are not reproducible and
-    are rejected; flips and brightness are exact)."""
-    out = image.copy()
-    for entry in record:
-        if entry[0] == "hflip":
-            out = out[:, ::-1, :].copy()
-        elif entry[0] == "brightness":
-            out = np.clip(out + entry[1], 0.0, 1.0)
-        else:
-            raise ValueError(f"apply_transform_record: cannot replay {entry[0]!r}")
-    return out
+    return np.clip(out, 0.0, 1.0)
 
 
 def augment_pair(rng: np.random.Generator, ua: np.ndarray, ub: np.ndarray,
                  p: float = 0.5) -> AugmentedPair:
-    a, ra = augment(rng, ua, p=p)
-    b, rb = augment(rng, ub, p=p)
-    return AugmentedPair(ua=a, ub=b, record_a=ra, record_b=rb)
+    return AugmentedPair(ua=augment(rng, ua, p=p), ub=augment(rng, ub, p=p))
 
 
 def sample_seed(global_seed: int, split_code: int, index: int) -> int:
@@ -239,17 +211,3 @@ def save_pgm(path, labels: np.ndarray, num_classes: int) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(gray.tobytes())
-
-
-def save_sample(path, sample: SceneSample) -> None:
-    arrays = {"image": sample.image}
-    if sample.labels is not None:
-        arrays["labels"] = sample.labels.astype(np.float64)
-    checkpoint.write_blob(path, arrays, meta={"seed": sample.seed,
-                                              "has_labels": sample.labels is not None})
-
-
-def load_sample(path) -> SceneSample:
-    arrays, meta = checkpoint.read_blob(path)
-    labels = arrays["labels"].astype(np.int64) if meta.get("has_labels") else None
-    return SceneSample(image=arrays["image"], labels=labels, seed=int(meta["seed"]))

@@ -51,18 +51,9 @@ class ComputationTape:
 _TAPE = ComputationTape()
 _GRAD_ENABLED = True
 
-# Test hook: name an op here to corrupt its backward rule (scales the
-# incoming gradient), used as a negative control for gradient checking.
-_CORRUPT_OP: Optional[str] = None
-
 
 def tape() -> ComputationTape:
     return _TAPE
-
-
-def set_corrupt_backward(op_name: Optional[str]) -> None:
-    global _CORRUPT_OP
-    _CORRUPT_OP = op_name
 
 
 class no_grad:
@@ -168,9 +159,6 @@ def _as_tensor(x) -> Tensor:
 def _record(op: str, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        if _CORRUPT_OP == op:
-            inner = backward_fn
-            backward_fn = lambda g: inner(g * 1.01)
         _TAPE.nodes.append(TapeNode(op, out, backward_fn))
     return out
 

@@ -15,21 +15,20 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import checkpoint
 from .cutmix import compose_image, compose_predictions, drop_pairs, generate_boxes
 from .ema import EmaState, ema_init, ema_update
-from .losses import (LossBreakdown, PredictionMap, consistency_loss,
-                     relaxed_cross_entropy, structured_consistency_box,
-                     total_loss)
+from .losses import (PredictionMap, consistency_loss, relaxed_cross_entropy,
+                     structured_consistency_box)
 from .metrics import ConfusionMatrix, miou
 from .model import SegNet, SegNetDescriptor, init_segnet
 from .optim import make_velocity, poly_lr, sgd_step
 from .synthdata import SceneDataset, augment_pair
-from .tensor import NonFiniteError, backward, no_grad, parameters_finite, tape
+from .tensor import NonFiniteError, Tensor, backward, no_grad, parameters_finite, tape
 
 
 class ConfigError(ValueError):
@@ -49,7 +48,6 @@ class TrainConfig:
     num_boxes: int = 32
     num_active_boxes: int = 16
     pair_budget: int = 9000
-    pair_mode: str = "ordered"
     # loss weights and toggles
     consistency_weight: float = 20.0
     structured_weight: float = 3.0
@@ -79,6 +77,8 @@ class TrainConfig:
     eval_every: int = 0
 
     def validate(self) -> None:
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
         if self.num_active_boxes > self.num_boxes or self.num_active_boxes < 1:
             raise ConfigError(
                 f"num_active_boxes {self.num_active_boxes} outside [1, num_boxes={self.num_boxes}]")
@@ -162,6 +162,15 @@ EMA_VARIANTS: Dict[str, dict] = {
     "O/X": {"ema_teacher": True, "ema_eval": False},
     "O/O": {"ema_teacher": True, "ema_eval": True},
 }
+
+
+class LossBreakdown(NamedTuple):
+    """One step's loss values in metrics.csv column order; l_tot is the
+    graph loss the backward pass starts from."""
+    l_x: float
+    l_c: float
+    l_sc: float
+    l_tot: float
 
 
 @dataclass
@@ -252,19 +261,17 @@ class Trainer:
                 loss_t = loss_t + cfg.consistency_weight * l_c_t
                 l_c = l_c_t.item()
             if cfg.use_structured and cfg.structured_weight > 0:
-                pairs = drop_pairs(boxset, cfg.pair_budget, self.rng_pairs, cfg.pair_mode)
+                pairs = drop_pairs(boxset, cfg.pair_budget, self.rng_pairs)
                 pair_counts = pairs.counts()
                 l_sc_t = structured_consistency_box(student_probs, guessed, boxset, pairs)
                 loss_t = loss_t + cfg.structured_weight * l_sc_t
                 l_sc = l_sc_t.item()
 
-        l_x = l_x_t.item()
-        for name, v in (("l_x", l_x), ("l_c", l_c), ("l_sc", l_sc)):
+        losses = LossBreakdown(l_x_t.item(), l_c, l_sc, loss_t.item())
+        for name, v in losses._asdict().items():
             if not math.isfinite(v):
                 tape().clear()  # drop the recorded step so a caller can recover
                 raise NonFiniteError(f"step {self.step_index}: non-finite loss {name}={v}")
-        breakdown = total_loss(l_x, l_c, l_sc,
-                               cfg.consistency_weight, cfg.structured_weight)
         lr = poly_lr(self.step_index, self.max_steps, cfg.lr0, cfg.power)
         backward(loss_t)
         sgd_step(self.student.params, lr, cfg.momentum, cfg.weight_decay, self.velocity)
@@ -277,7 +284,7 @@ class Trainer:
         assert all(t.grad is None for t in self.ema.teacher_params), \
             "teacher parameters must never accumulate gradients"
 
-        rec = StepRecord(step=self.step_index, lr=lr, losses=breakdown,
+        rec = StepRecord(step=self.step_index, lr=lr, losses=losses,
                          pair_counts=pair_counts, wall_time=time.perf_counter() - t0)
         self.step_index += 1
         return rec
@@ -355,18 +362,14 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
 
 def load_checkpoint(path) -> Tuple[SegNet, EmaState, dict]:
-    from .tensor import Tensor
-
     arrays, meta = checkpoint.read_blob(path)
-    descriptor = SegNetDescriptor.from_dict(meta["descriptor"])
-    net = SegNet(descriptor=descriptor)
-    n_layers = len(descriptor.widths)
+    # a throwaway init supplies the parameter names; every value is replaced
+    net = init_segnet(np.random.default_rng(0),
+                      SegNetDescriptor.from_dict(meta["descriptor"]))
     teacher_params = []
-    for i in range(n_layers):
-        net.kernels.append(Tensor(arrays[f"student/conv{i}.kernel"], requires_grad=True))
-        net.biases.append(Tensor(arrays[f"student/conv{i}.bias"], requires_grad=True))
-        teacher_params.append(Tensor(arrays[f"teacher/conv{i}.kernel"]))
-        teacher_params.append(Tensor(arrays[f"teacher/conv{i}.bias"]))
+    for name, p in net.named_params():
+        p.data = arrays[f"student/{name}"]
+        teacher_params.append(Tensor(arrays[f"teacher/{name}"]))
     ema_state = EmaState(decay=float(meta["ema_decay"]), teacher_params=teacher_params,
                          step_count=int(meta.get("ema_steps", 0)))
     return net, ema_state, meta

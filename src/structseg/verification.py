@@ -9,7 +9,7 @@ gradient's scale rather than against themselves.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,11 +17,15 @@ from .cutmix import Box, boxset_from_boxes, drop_pairs, generate_boxes
 from .losses import (consistency_loss, relaxed_cross_entropy,
                      structured_consistency_box, structured_consistency_full)
 from .maps import IGNORE, PredictionMap
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, tape
 
 FD_STEP = 1e-3
 GRAD_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-10
+
+# Negative control for gradient checking: the recorded backward rule of
+# every op with this name scales its incoming gradient by 1.01.
+CORRUPT_OP: Optional[str] = None
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -52,6 +56,9 @@ def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
                      logits0: np.ndarray) -> float:
     t = Tensor(logits0, requires_grad=True)
     loss = loss_of_logits(t)
+    for node in tape().nodes:
+        if node.op == CORRUPT_OP:
+            node.backward = lambda g, inner=node.backward: inner(g * 1.01)
     backward(loss)
     analytic = t.grad.copy()
 

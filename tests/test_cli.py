@@ -179,6 +179,30 @@ class TestDump:
 
 
 class TestUsage:
+    def test_missing_input_files_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.bin")
+        assert main(["evaluate", "--checkpoint", missing]) == 2
+        assert main(["train", "--config", missing, "--out-dir", str(tmp_path / "o")]) == 2
+        assert main(["dump", "--checkpoint", missing, "--out-dir", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 3 and all(missing in line for line in err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("lr0", ["-1", "0", "nan"])
+    def test_bad_lr0_exits_2_before_writing(self, tmp_path, tiny_config, lr0):
+        code, out = _train(tmp_path, tiny_config, "bad-lr", "--lr0", lr0)
+        assert code == 2
+        assert not out.exists()
+
+    def test_pair_mode_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--pair-mode", "ordered", "--out-dir", str(tmp_path / "a")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "pair_mode": "ordered"}))
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--no-such-flag", "1"])

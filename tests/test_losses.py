@@ -13,7 +13,7 @@ from structseg.cutmix import Box, boxset_from_boxes, drop_pairs, generate_boxes
 from structseg.losses import (consistency_loss,
                               cosine_similarity, relaxed_cross_entropy,
                               structured_consistency_box,
-                              structured_consistency_full, total_loss)
+                              structured_consistency_full, window_class_mask)
 from structseg.maps import IGNORE, PredictionMap
 from structseg.tensor import Tensor, backward
 
@@ -157,6 +157,18 @@ class TestRelaxedCrossEntropy:
                            for y in range(4) for x in range(4) if (y, x) != (0, 0)])
         assert abs(got - manual) < 1e-12
         assert got != base
+
+    def test_window_wider_than_image_spans_it(self):
+        labels = np.random.default_rng(4).integers(0, 3, size=(16, 16))
+        full = window_class_mask(labels, 31, 4)
+        for window in (35, 65):
+            np.testing.assert_array_equal(window_class_mask(labels, window, 4), full)
+        # every pixel sees each class present anywhere in the image, and no other
+        present = np.isin(np.arange(4), labels).astype(np.float64)
+        np.testing.assert_array_equal(full, np.broadcast_to(present, full.shape))
+        pm = _probs(np.random.default_rng(5), (16, 16, 4))
+        expected = np.nanmean(_relaxed_ce_per_pixel_oracle(pm.probs.data, labels, 35))
+        assert abs(relaxed_cross_entropy(pm, labels, 35).item() - expected) < 1e-12
 
 
 # -- pixel-wise consistency ----------------------------------------------------
@@ -349,39 +361,3 @@ class TestStructuredBox:
         pairs = drop_pairs(bs, 40, rng)
         with pytest.raises(ValueError, match="gradient"):
             structured_consistency_box(s, g, bs, pairs)
-
-
-# -- combination ------------------------------------------------------------------
-
-class TestTotalLoss:
-    def test_supervised_only(self):
-        b = total_loss(1.0, 0.0, 0.0, 20.0, 3.0)
-        assert b.l_tot == 1.0 and b.l_u == 0.0
-
-    def test_weighted_sum_arithmetic(self):
-        b = total_loss(0.0, 0.1, 0.01, 20.0, 3.0)
-        assert abs(b.l_u - 2.03) < 1e-12
-        assert abs(b.l_tot - 2.03) < 1e-12
-
-    def test_mixed_arithmetic(self):
-        b = total_loss(0.5, 0.0, 0.02, 20.0, 3.0)
-        assert abs(b.l_tot - 0.56) < 1e-12
-
-    def test_breakdown_invariants(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            lx, lc, lsc = rng.random(3)
-            b = total_loss(lx, lc, lsc, 20.0, 3.0)
-            assert abs(b.l_u - (b.lambda_c * b.l_c + b.lambda_sc * b.l_sc)) < 1e-12
-            assert abs(b.l_tot - (b.l_x + b.l_u)) < 1e-12
-            assert b.l_x >= 0 and b.l_c >= 0 and b.l_sc >= 0 and b.l_u >= 0
-
-    def test_negative_component_errors(self):
-        with pytest.raises(ValueError, match="negative"):
-            total_loss(-0.1, 0.0, 0.0, 20.0, 3.0)
-
-    def test_non_finite_component_errors(self):
-        with pytest.raises(ValueError, match="finite"):
-            total_loss(float("nan"), 0.0, 0.0, 20.0, 3.0)
-        with pytest.raises(ValueError, match="finite"):
-            total_loss(0.0, float("inf"), 0.0, 20.0, 3.0)

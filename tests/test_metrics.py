@@ -12,7 +12,7 @@ class TestAccumulate:
         cm = ConfusionMatrix(3)
         labels = np.array([[0, 1], [2, 1]])
         cm.accumulate(labels, labels)
-        assert cm.total == 4
+        assert cm.counts.sum() == 4
         np.testing.assert_array_equal(cm.counts, np.diag([1, 2, 1]))
 
     def test_single_confused_pixel(self):
@@ -34,7 +34,7 @@ class TestAccumulate:
     def test_ignore_pixels_skipped(self):
         cm = ConfusionMatrix(2)
         cm.accumulate(np.array([[0, 1]]), np.array([[IGNORE, 1]]))
-        assert cm.total == 1
+        assert cm.counts.sum() == 1
 
     def test_out_of_range_class_errors(self):
         cm = ConfusionMatrix(2)
@@ -47,19 +47,6 @@ class TestAccumulate:
         cm = ConfusionMatrix(2)
         with pytest.raises(ValueError, match="shapes"):
             cm.accumulate(np.zeros((2, 2), int), np.zeros((2, 3), int))
-
-    def test_merge_equals_joint_accumulation(self):
-        rng = np.random.default_rng(1)
-        t = rng.integers(0, 4, size=(6, 6))
-        p = rng.integers(0, 4, size=(6, 6))
-        a = ConfusionMatrix(4)
-        a.accumulate(p[:3], t[:3])
-        b = ConfusionMatrix(4)
-        b.accumulate(p[3:], t[3:])
-        a.merge(b)
-        joint = ConfusionMatrix(4)
-        joint.accumulate(p, t)
-        np.testing.assert_array_equal(a.counts, joint.counts)
 
 
 class TestMiou:

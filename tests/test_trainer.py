@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from structseg import trainer as trainer_mod
 from structseg.model import SegNet
 from structseg.optim import poly_lr
 from structseg.tensor import NonFiniteError
@@ -41,6 +42,9 @@ class TestConfig:
             _cfg(relax_window=2).validate()
         with pytest.raises(ConfigError, match="weights"):
             _cfg(consistency_weight=-1).validate()
+        for lr0 in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lr0"):
+                _cfg(lr0=lr0).validate()
 
     def test_hash_is_stable_and_key_order_free(self):
         cfg = _cfg(seed=1)
@@ -55,7 +59,7 @@ class TestBranchToggles:
         state_before = copy.deepcopy(tr.rng_unlabeled.bit_generator.state)
         rec = tr.train_step()
         assert rec.losses.l_c == 0.0 and rec.losses.l_sc == 0.0
-        assert rec.losses.l_u == 0.0
+        assert rec.losses.l_tot == rec.losses.l_x
         assert rec.pair_counts == []
         # the unlabeled stream was never consumed: no unlabeled forward happened
         assert tr.rng_unlabeled.bit_generator.state == state_before
@@ -96,6 +100,25 @@ class TestStepMechanics:
             assert rec.lr == poly_lr(rec.step, tr.max_steps, cfg.lr0, cfg.power)
         assert recs[0].lr == cfg.lr0
         assert poly_lr(tr.max_steps, tr.max_steps, cfg.lr0, cfg.power) == 0.0
+
+    def test_logged_total_is_the_graph_loss(self, monkeypatch):
+        handed = []
+        real_backward = trainer_mod.backward
+
+        def spy(loss):
+            handed.append(loss.item())
+            real_backward(loss)
+
+        monkeypatch.setattr(trainer_mod, "backward", spy)
+        cfg = _cfg(seed=4)
+        tr = Trainer(cfg)
+        for k in range(4):
+            lb = tr.train_step().losses
+            assert lb.l_c > 0.0 and lb.l_sc > 0.0
+            assert lb.l_tot == handed[k]
+            expected = (lb.l_x + cfg.consistency_weight * lb.l_c
+                        + cfg.structured_weight * lb.l_sc)
+            assert abs(lb.l_tot - expected) <= 1e-12 * expected
 
     def test_pair_counts_respect_budget(self):
         cfg = _cfg(seed=2, pair_budget=17)

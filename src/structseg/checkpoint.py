@@ -14,6 +14,11 @@ import numpy as np
 FORMAT_TAG = "structseg-blob-v1"
 
 
+class CheckpointError(ValueError):
+    """The file is not a readable structseg checkpoint (wrong format,
+    unparsable header, or tensors that do not fit the payload)."""
+
+
 def write_blob(path, arrays: Dict[str, np.ndarray], meta: Optional[dict] = None) -> None:
     """Write named float64 arrays with a JSON header; offsets are relative
     to the start of the binary section (the byte after the header newline)."""
@@ -43,13 +48,20 @@ def read_blob(path) -> Tuple[Dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         header_line = f.readline()
         data = f.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != FORMAT_TAG:
-        raise ValueError(f"read_blob: {path} is not a {FORMAT_TAG} file")
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+        raise CheckpointError(f"{path} is not a {FORMAT_TAG} file")
     arrays = {}
     for entry in header["tensors"]:
         n = entry["nbytes"]
         off = entry["offset"]
+        if off < 0 or off + n > len(data):
+            raise CheckpointError(
+                f"{path}: tensor {entry['name']} ({n} bytes at offset {off}) lies "
+                f"outside the {len(data)}-byte payload; is the file truncated?")
         arr = np.frombuffer(data[off:off + n], dtype="<f8").reshape(entry["shape"])
         arrays[entry["name"]] = arr.astype(np.float64)
     return arrays, header.get("meta", {})

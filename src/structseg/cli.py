@@ -5,8 +5,8 @@ JSON files whose keys mirror TrainConfig; any field can be overridden with
 a ``--key value`` flag. Unknown config keys are hard errors.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (including
-an unreadable --config or --checkpoint file), 3 numeric abort (non-finite
-loss or parameters).
+an unreadable or malformed --config or --checkpoint file), 3 numeric abort
+(non-finite loss or parameters).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
+import platform
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,9 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import verification
+from .checkpoint import CheckpointError
 from .cutmix import generate_boxes, compose_image
 from .synthdata import save_pgm, save_ppm
-from .tensor import NonFiniteError, no_grad
+from .tensor import HEAP_KEEPS_FREED_BLOCKS, NonFiniteError, no_grad
 from .trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS, StepRecord,
                       TrainConfig, Trainer, ablation_csv_rows, load_checkpoint,
                       run_ablation, save_checkpoint)
@@ -69,7 +72,12 @@ def resolve_config(args: argparse.Namespace) -> TrainConfig:
     base = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
-            base = json.load(f)
+            try:
+                base = json.load(f)
+            except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+                raise ConfigError(f"{args.config} is not valid JSON ({e})") from None
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config} does not hold a JSON object")
         if "config_hash" in base and "config" in base:
             base = base["config"]
     cfg = TrainConfig.from_dict(base)
@@ -81,6 +89,22 @@ def resolve_config(args: argparse.Namespace) -> TrainConfig:
     if overrides:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), **overrides})
     return cfg
+
+
+def _environment() -> dict:
+    """What produced a run's bits: interpreter, numpy and its BLAS, the
+    thread settings, the CPU count, and whether the heap keeps freed blocks
+    (see ``tensor``)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "blas_thread_env": {k: os.environ.get(k) for k in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+        "heap_keeps_freed_blocks": HEAP_KEEPS_FREED_BLOCKS,
+    }
 
 
 def _timestamp() -> str:
@@ -143,6 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "checkpoint": ckpt_path.name,
         },
         "final_miou": m,
+        "environment": _environment(),
     }
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -291,6 +316,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except CheckpointError as e:
+        print(f"checkpoint error: {e}", file=sys.stderr)
         return 2
     except NonFiniteError as e:
         print(f"numeric abort: {e}", file=sys.stderr)

@@ -12,9 +12,46 @@ bit-deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20   # glibc's largest accepted value on 64-bit
+_TRIM_THRESHOLD = 1 << 30        # above any working set this program reaches
+
+
+def _keep_freed_blocks_in_heap() -> bool:
+    """Make glibc keep freed blocks for reuse instead of returning them.
+
+    By default glibc serves blocks of 128 KiB or more with their own mmap
+    and unmaps them on free, and trims the heap top above 128 KiB, so every
+    op's temporaries are faulted in page by page again on the next step.
+    Both thresholds must be set: setting either one switches off glibc's
+    adaptive thresholds, so the one left unset stays at 128 KiB. Returns
+    whether both settings took effect; off Linux/glibc it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX) == 1
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+    return mmap_ok and trim_ok
+
+
+# whether freed arrays stay in the heap; recorded in run manifests
+HEAP_KEEPS_FREED_BLOCKS = _keep_freed_blocks_in_heap()
 
 
 class NonFiniteError(RuntimeError):

@@ -42,8 +42,21 @@ def numerical_gradient(f: Callable[[np.ndarray], float], x0: np.ndarray,
     return g
 
 
-def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
+def max_rel_error(analytic: np.ndarray, numeric: np.ndarray,
+                  loss_value: float = 0.0) -> float:
+    """max|analytic - numeric| over the gradient's scale, with the scale
+    floored at the rounding noise of the central differences.
+
+    Each loss value carries rounding of about eps * max(1, |f|), and the
+    central difference divides the difference of two of them by 2h, so the
+    numeric gradient is only known to about eps * max(1, |f|) / h. A
+    gradient smaller than that noise over GRAD_TOLERANCE (an identically
+    zero one, where the loss is constant) is judged against that floor, so
+    that rounding alone stays below the tolerance while any discrepancy
+    larger than the noise still fails.
+    """
+    noise = np.finfo(np.float64).eps * max(1.0, abs(loss_value)) / FD_STEP
+    scale = max(np.abs(analytic).max(), np.abs(numeric).max(), noise / GRAD_TOLERANCE)
     return float(np.abs(analytic - numeric).max() / scale)
 
 
@@ -65,7 +78,7 @@ def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
     def f(x: np.ndarray) -> float:
         return loss_of_logits(Tensor(x)).item()
 
-    return max_rel_error(analytic, numerical_gradient(f, logits0))
+    return max_rel_error(analytic, numerical_gradient(f, logits0), loss.item())
 
 
 def check_relaxed_ce(seed: int, window: int, shape=(8, 8, 3)) -> float:

@@ -1,12 +1,15 @@
 """Command-line contract: subcommands, exit codes, run artifacts."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
 from structseg.cli import main
-from structseg.trainer import load_checkpoint
+from structseg.tensor import HEAP_KEEPS_FREED_BLOCKS
+from structseg.trainer import TrainConfig, load_checkpoint
 
 TINY_CONFIG = {
     "height": 24, "width": 24, "num_classes": 3,
@@ -43,6 +46,22 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "step,lr,l_x,l_c,l_sc,l_tot"
         assert len(lines) == 1 + TINY_CONFIG["epochs"] * TINY_CONFIG["n_labeled"]
+
+    def test_manifest_records_environment(self, tmp_path, tiny_config):
+        _, out = _train(tmp_path, tiny_config, "run-env")
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["heap_keeps_freed_blocks"] is HEAP_KEEPS_FREED_BLOCKS
+        assert env["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+            "OPENBLAS_NUM_THREADS")
+        assert set(env) == {"python", "numpy", "blas", "blas_thread_env",
+                            "cpu_count", "heap_keeps_freed_blocks"}
+        # the hash covers the config alone, not the environment
+        assert manifest["config_hash"] == TrainConfig.from_dict(
+            manifest["config"]).config_hash()
 
     def test_zero_structured_weight_zeroes_csv_column(self, tmp_path, tiny_config):
         code, out = _train(tmp_path, tiny_config, "run2", "--structured-weight", "0")
@@ -150,6 +169,12 @@ class TestGradcheck:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_constant_loss_seed_passes(self, capsys):
+        # every 3x3 label window of seed 2984 holds every class, so the
+        # window-3 loss is constant and both gradients are rounding noise
+        assert main(["gradcheck", "--seed", "2984", "--seeds-count", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_corruption_hook_is_reset(self):
         main(["gradcheck", "--seeds-count", "1", "--corrupt-op", "softmax"])
         assert main(["gradcheck", "--seeds-count", "1"]) == 0
@@ -187,6 +212,31 @@ class TestUsage:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 3 and all(missing in line for line in err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ['{"epochs": 1,', "1", "null"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for command in ("train", "dump"):
+            assert main([command, "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(line.startswith("config error:") for line in err)
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("cut", ["header", "payload"])
+    def test_truncated_checkpoint_exits_2(self, tmp_path, tiny_config, capsys, cut):
+        _, run = _train(tmp_path, tiny_config, "run")
+        blob = (run / "checkpoint.bin").read_bytes()
+        short = tmp_path / "short.bin"
+        short.write_bytes(blob[:200] if cut == "header" else blob[:-8])
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(short)]) == 2
+        assert main(["dump", "--checkpoint", str(short), "--out-dir", str(tmp_path / "d")]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 2 and all(line.startswith("checkpoint error:") for line in err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run", "short.bin"]
 
     @pytest.mark.parametrize("lr0", ["-1", "0", "nan"])
     def test_bad_lr0_exits_2_before_writing(self, tmp_path, tiny_config, lr0):

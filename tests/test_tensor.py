@@ -1,9 +1,16 @@
 """Engine tests: op semantics, tape behavior, and finite-difference
 gradient checks for every differentiable op."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import structseg
 from structseg.tensor import (Tensor, add, backward, clamp_min, conv2d, div,
                               log, matmul, mul, no_grad, relu, reshape, scale,
                               softmax, sqrt, square, sub, take_rows, tape,
@@ -243,6 +250,18 @@ def test_conv2d_gradients(pad_mode, stride, padding):
             lambda b: build(x0, k0, b).item(), b0)) < 1e-4
 
 
+def test_max_rel_error_floor_is_rounding_noise():
+    """Rounding-sized differences against a zero gradient pass; anything
+    well above the central-difference noise still fails."""
+    zero = np.zeros(4)
+    noise = np.array([0.0, 2.6e-15, -1e-15, 0.0])
+    assert max_rel_error(zero, noise, loss_value=0.5) < 1e-4
+    assert max_rel_error(zero, noise * 1e4, loss_value=0.5) > 1e-2
+    assert max_rel_error(noise * 1e4, zero, loss_value=0.5) > 1e-2
+    # the noise, and so the floor, grows with |f|
+    assert max_rel_error(zero, noise * 100, loss_value=1e3) < 1e-4
+
+
 def test_determinism_bit_identical():
     def once():
         rng = np.random.default_rng(42)
@@ -266,3 +285,39 @@ def test_detach_blocks_gradient():
     loss = tsum(mul(y, y))
     backward(loss)
     assert x.grad is None
+
+
+_REFAULT_SCRIPT = textwrap.dedent("""
+    import importlib, resource
+    import numpy as np
+    import structseg.tensor as tensor
+
+    def refault_count():
+        # 500,000 doubles: 4 MB, above glibc's default 128 KiB mmap threshold
+        # and below numpy's 4 MiB huge-page advice
+        a = np.empty(500_000)
+        a.fill(1.0)
+        del a
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        b = np.empty(500_000)
+        b.fill(1.0)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    first = (tensor.HEAP_KEEPS_FREED_BLOCKS, refault_count())
+    importlib.reload(tensor)
+    print(*first, tensor.HEAP_KEEPS_FREED_BLOCKS, refault_count())
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+def test_freed_arrays_are_reused_without_page_faults():
+    """A freed 4 MB array stays in the heap, so allocating and filling the
+    next one costs no fresh pages (about 1000 faults if it were unmapped),
+    also after the module is imported a second time."""
+    src = os.path.dirname(os.path.dirname(structseg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    keeps, faults, keeps_again, faults_again = out
+    assert keeps == keeps_again == "True"
+    assert int(faults) < 50 and int(faults_again) < 50, out

@@ -5,8 +5,8 @@ JSON files whose keys mirror TrainConfig; any field can be overridden with
 a ``--key value`` flag. Unknown config keys are hard errors.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (including
-an unreadable or malformed --config or --checkpoint file), 3 numeric abort
-(non-finite loss or parameters).
+an unreadable or malformed --config or --checkpoint file, and bad --seeds
+or --seeds-count values), 3 numeric abort (non-finite loss or parameters).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -35,6 +36,10 @@ from .verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE,
                            pair_reduction_report, run_gradcheck, run_oracle)
 
 METRICS_HEADER = "step,lr,l_x,l_c,l_sc,l_tot"
+
+
+class UsageError(ValueError):
+    """A subcommand argument outside its accepted values (exit 2)."""
 
 
 def _parse_bool(s: str) -> bool:
@@ -125,6 +130,7 @@ def _eval_header(num_classes: int) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     cfg = resolve_config(args)
     out_dir = Path(args.out_dir or f"runs/train-seed{cfg.seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,6 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         },
         "final_miou": m,
         "environment": _environment(),
+        "wall_time_s": time.perf_counter() - t0,
     }
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -192,9 +199,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_seeds(text: str) -> list:
+    try:
+        seeds = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--seeds must be comma-separated integers, got {text!r}") from None
+    if min(seeds) < 0:
+        raise UsageError(f"--seeds must be >= 0, got {text!r}")
+    return seeds
+
+
+def _seed_range(args: argparse.Namespace) -> tuple:
+    """(n_seeds, seed0) of the gradcheck and oracle subcommands."""
+    if args.seeds_count < 1:
+        raise UsageError(f"--seeds-count must be >= 1, got {args.seeds_count}")
+    seed0 = args.seed or 0
+    if seed0 < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed0}")
+    return args.seeds_count, seed0
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
+    seeds = _parse_seeds(args.seeds)
     cfg = resolve_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
     variants = LOSS_VARIANTS if args.grid == "loss" else EMA_VARIANTS
     rows = run_ablation(cfg, variants, seeds)
     lines = ablation_csv_rows(rows)
@@ -209,9 +236,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    n_seeds, seed0 = _seed_range(args)
     verification.CORRUPT_OP = args.corrupt_op
     try:
-        report = run_gradcheck(n_seeds=args.seeds_count, seed0=args.seed or 0)
+        report = run_gradcheck(n_seeds=n_seeds, seed0=seed0)
     finally:
         verification.CORRUPT_OP = None
     ok = True
@@ -223,7 +251,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    deviation = run_oracle(n_seeds=args.seeds_count, seed0=args.seed or 0)
+    n_seeds, seed0 = _seed_range(args)
+    deviation = run_oracle(n_seeds=n_seeds, seed0=seed0)
     status = "PASS" if deviation < ORACLE_TOLERANCE else "FAIL"
     print(f"box-restricted vs full-enumeration pairwise loss: max absolute "
           f"deviation {deviation:.3e} ({status}, tolerance {ORACLE_TOLERANCE})")
@@ -316,6 +345,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
         return 2
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)

@@ -33,6 +33,16 @@ class SegNetDescriptor:
             raise ValueError(f"kernel size must be odd, got {self.kernel_size}")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"layer widths must be positive, got {self.widths}")
+        if self.param_count >= PARAM_CAP:
+            raise ValueError(f"{self.param_count} parameters exceeds "
+                             f"the desk-scale cap of {PARAM_CAP}")
+
+    @property
+    def param_count(self) -> int:
+        """Kernel and bias entries of the net this descriptor builds."""
+        k2 = self.kernel_size ** 2
+        cins = (self.in_channels,) + tuple(self.widths[:-1])
+        return sum(k2 * cin * cout + cout for cin, cout in zip(cins, self.widths))
 
     @property
     def num_classes(self) -> int:
@@ -88,7 +98,7 @@ class SegNet:
         pad = self.descriptor.kernel_size // 2
         n_layers = len(kernels)
         for i, (k, b) in enumerate(zip(kernels, biases)):
-            x = conv2d(x, k, b, stride=1, padding=pad, pad_mode=self.descriptor.pad_mode)
+            x = conv2d(x, k, b, padding=pad, pad_mode=self.descriptor.pad_mode)
             if i < n_layers - 1:
                 x = relu(x)
         return x
@@ -107,7 +117,4 @@ def init_segnet(rng: np.random.Generator, descriptor: SegNetDescriptor) -> SegNe
         net.kernels.append(Tensor(kernel, requires_grad=True))
         net.biases.append(Tensor(np.zeros(cout), requires_grad=True))
         cin = cout
-    if net.param_count >= PARAM_CAP:
-        raise ValueError(f"init_segnet: {net.param_count} parameters exceeds "
-                         f"the desk-scale cap of {PARAM_CAP}")
     return net

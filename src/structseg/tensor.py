@@ -435,14 +435,36 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return _record("take_rows", out, (a,), bwd)
 
 
+def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Valid cross-correlation of an (H,W,c_in) array with a (kh,kw,c_in,
+    c_out) kernel: one batched (W,c_in) x (c_in,c_out) product per kernel
+    offset, no patch copy. ``reverse`` walks the offsets last to first."""
+    kh, kw, _, cout = kernel.shape
+    oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
+    step = -1 if reverse else 1
+    out = np.zeros((oh, ow, cout))
+    for ky in range(kh)[::step]:
+        for kx in range(kw)[::step]:
+            out += xp[ky:ky + oh, kx:kx + ow, :] @ kernel[ky, kx]
+    return out
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0, pad_mode: str = "zeros") -> Tensor:
-    """2-D cross-correlation on an HxWxC image.
+           padding: int = 0, pad_mode: str = "zeros") -> Tensor:
+    """2-D stride-1 cross-correlation on an HxWxC image.
 
     kernel has shape (kh, kw, c_in, c_out); the spatial loops run over
     kernel offsets only, each offset contributing one (H*W, c_in) x
     (c_in, c_out) product. pad_mode "wrap" gives circular padding, used
     by the translation-equivariance harness.
+
+    Backward: the kernel gradient at each offset is a batch of per-row
+    (c_in, W) x (W, c_out) products summed over rows. The input gradient
+    is the correlation of the fully zero-padded output gradient with the
+    kernel flipped in space and its channel axes swapped; walking the
+    offsets in reverse adds the terms in the same order as scattering
+    ``g @ kernel[ky, kx].T`` into each offset's window, so it is
+    bit-identical to that scatter-add.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
@@ -456,23 +478,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"conv2d: unknown pad_mode {pad_mode!r}")
     if bias is not None and bias.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} outputs")
-    p, s = int(padding), int(stride)
+    p = int(padding)
     if p > 0:
         mode = "constant" if pad_mode == "zeros" else "wrap"
         xp = np.pad(x.data, ((p, p), (p, p), (0, 0)), mode=mode)
     else:
         xp = x.data
     ph, pw = xp.shape[0], xp.shape[1]
-    oh = (ph - kh) // s + 1
-    ow = (pw - kw) // s + 1
+    oh, ow = ph - kh + 1, pw - kw + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: kernel {kernel.shape} larger than padded input {xp.shape}")
 
-    out_data = np.zeros((oh, ow, cout))
-    for ky in range(kh):
-        for kx in range(kw):
-            # (oh,ow,cin) @ (cin,cout), batched over rows; no patch copy
-            out_data += xp[ky:ky + s * oh:s, kx:kx + s * ow:s, :] @ kernel.data[ky, kx]
+    out_data = _correlate(xp, kernel.data)
     if bias is not None:
         out_data = out_data + bias.data
     out = Tensor(out_data)
@@ -480,20 +497,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     def bwd(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 1)))
-        need_x = x.requires_grad
-        need_k = kernel.requires_grad
-        gxp = np.zeros_like(xp) if need_x else None
-        gk = np.zeros_like(kernel.data) if need_k else None
-        for ky in range(kh):
-            for kx in range(kw):
-                if need_k:
-                    patch = xp[ky:ky + s * oh:s, kx:kx + s * ow:s, :]
-                    gk[ky, kx] += np.tensordot(patch, g, axes=([0, 1], [0, 1]))
-                if need_x:
-                    gxp[ky:ky + s * oh:s, kx:kx + s * ow:s, :] += g @ kernel.data[ky, kx].T
-        if need_k:
+        if kernel.requires_grad:
+            gk = np.empty_like(kernel.data)
+            for ky in range(kh):
+                for kx in range(kw):
+                    patch = xp[ky:ky + oh, kx:kx + ow, :]
+                    gk[ky, kx] = np.matmul(patch.transpose(0, 2, 1), g).sum(axis=0)
             _accum(kernel, gk)
-        if need_x:
+        if x.requires_grad:
+            gp = np.pad(g, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
+            gxp = _correlate(gp, flipped, reverse=True)
             if p == 0:
                 _accum(x, gxp)
             elif pad_mode == "zeros":

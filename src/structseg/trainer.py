@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -77,8 +78,50 @@ class TrainConfig:
     eval_every: int = 0
 
     def validate(self) -> None:
-        if not (math.isfinite(self.lr0) and self.lr0 > 0):
-            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        """Reject, before any output exists, every value that would fail
+        later in the run: wrong types, non-finite floats and values outside
+        what the data, box and model code accept."""
+        def is_int(v) -> bool:
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float":
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ConfigError(f"{f.name} must be a number, got {v!r}")
+                if not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
+            elif f.type == "int" and not is_int(v):
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            elif f.type == "bool" and not isinstance(v, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {v!r}")
+        if not (isinstance(self.model_widths, tuple) and all(map(is_int, self.model_widths))):
+            raise ConfigError(f"model_widths must be a list of integers, got {self.model_widths!r}")
+        if self.lr0 <= 0:
+            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if self.power < 0 or self.weight_decay < 0:
+            raise ConfigError("power and weight_decay must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.height < 8 or self.width < 8:
+            raise ConfigError(f"height and width must be >= 8, got {self.height}x{self.width}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.in_channels != 3:
+            raise ConfigError(f"in_channels must be 3 (RGB scenes), got {self.in_channels}")
+        try:
+            self.model_descriptor().validate()
+        except ValueError as e:
+            raise ConfigError(f"model: {e}") from None
+        if self.seed < 0 or self.data_seed < 0:
+            raise ConfigError("seed and data_seed must be >= 0")
+        if self.texture_sigma < 0:
+            raise ConfigError(f"texture_sigma must be >= 0, got {self.texture_sigma}")
+        if self.checkpoint_every < 0 or self.eval_every < 0:
+            raise ConfigError("checkpoint_every and eval_every must be >= 0")
+        if self.num_boxes > self.height * self.width:
+            raise ConfigError(
+                f"num_boxes {self.num_boxes} exceeds the {self.height * self.width} pixels")
         if self.num_active_boxes > self.num_boxes or self.num_active_boxes < 1:
             raise ConfigError(
                 f"num_active_boxes {self.num_active_boxes} outside [1, num_boxes={self.num_boxes}]")
@@ -114,7 +157,7 @@ class TrainConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key: {key}")
         d = dict(d)
-        if "model_widths" in d:
+        if isinstance(d.get("model_widths"), list):
             d["model_widths"] = tuple(d["model_widths"])
         cfg = cls(**d)
         cfg.validate()

@@ -59,6 +59,7 @@ class TestTrain:
             "OPENBLAS_NUM_THREADS")
         assert set(env) == {"python", "numpy", "blas", "blas_thread_env",
                             "cpu_count", "heap_keeps_freed_blocks"}
+        assert isinstance(manifest["wall_time_s"], float) and manifest["wall_time_s"] > 0
         # the hash covers the config alone, not the environment
         assert manifest["config_hash"] == TrainConfig.from_dict(
             manifest["config"]).config_hash()
@@ -243,6 +244,35 @@ class TestUsage:
         code, out = _train(tmp_path, tiny_config, "bad-lr", "--lr0", lr0)
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--height", "4"], {}),
+        (["--num-classes", "1"], {}),
+        (["--model-widths", "200,200"], {}),
+        (["--momentum", "nan"], {}),
+        ([], {"epochs": "ten"}),
+    ], ids=["height", "num_classes", "param_cap", "momentum", "epochs_type"])
+    def test_invalid_config_exits_2_before_writing(self, tmp_path, capsys, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, **config}))
+        code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seeds-count", "0"],
+        ["oracle", "--seeds-count", "0"],
+        ["ablate", "--seeds", "0,1,x"],
+    ], ids=["gradcheck", "oracle", "ablate"])
+    def test_bad_subcommand_arguments_exit_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_pair_mode_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

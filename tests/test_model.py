@@ -29,7 +29,7 @@ class TestInit:
         d = SegNetDescriptor(in_channels=3, widths=(32, 32, 32, c))
         net = init_segnet(np.random.default_rng(0), d)
         expected = 9 * (3 * 32 + 32 * 32 * 2 + 32 * c) + (32 + 32 + 32 + c)
-        assert net.param_count == expected
+        assert net.param_count == expected == d.param_count
         assert net.param_count < PARAM_CAP
 
     def test_biases_start_at_zero(self):

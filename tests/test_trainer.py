@@ -45,6 +45,18 @@ class TestConfig:
         for lr0 in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="lr0"):
                 _cfg(lr0=lr0).validate()
+        for field, value, message in [
+                ("momentum", float("inf"), "momentum"), ("momentum", 1.0, "momentum"),
+                ("epochs", "ten", "epochs"), ("epochs", True, "epochs"),
+                ("height", 8.0, "height"), ("height", 4, "height"),
+                ("use_structured", 1, "use_structured"), ("num_classes", 1, "num_classes"),
+                ("model_widths", (6.5,), "model_widths"),
+                ("model_widths", (200, 200), "cap"), ("kernel_size", 2, "odd"),
+                ("seed", -1, "seed"), ("texture_sigma", -1.0, "texture_sigma"),
+                ("eval_every", -1, "eval_every"), ("num_boxes", 24 * 24 + 1, "num_boxes"),
+                ("power", -1.0, "power"), ("weight_decay", -0.1, "weight_decay")]:
+            with pytest.raises(ConfigError, match=message):
+                _cfg(**{field: value}).validate()
 
     def test_hash_is_stable_and_key_order_free(self):
         cfg = _cfg(seed=1)

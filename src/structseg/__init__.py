@@ -5,9 +5,8 @@ float64 reverse-mode autodiff engine."""
 from .cutmix import (Box, BoxSet, PairSet, boxset_from_boxes, compose_image,
                      compose_predictions, drop_pairs, generate_boxes)
 from .ema import EmaState, ema_init, ema_update
-from .losses import (consistency_loss, cosine_similarity,
-                     relaxed_cross_entropy, structured_consistency_box,
-                     structured_consistency_full)
+from .losses import (consistency_loss, relaxed_cross_entropy,
+                     structured_consistency_box, structured_consistency_full)
 from .maps import IGNORE, PredictionMap, check_label_map
 from .metrics import ConfusionMatrix, miou
 from .model import SegNet, SegNetDescriptor, init_segnet

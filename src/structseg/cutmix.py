@@ -1,10 +1,11 @@
 """CutMix box geometry: random box sets, mask composition, effective
-regions with covered-region exclusion, and budgeted pair sampling.
+regions with covered-region exclusion, and budgeted pair selection.
 
 Boxes are pasted in order; a pixel belongs to the effective region of the
 box that pasted it last, so regions tile the composed mask disjointly.
-The pair sampler draws ordered pixel pairs per box under a fixed budget
-using index arithmetic only (the full pair universe is never built).
+Per box, the pair selector keeps every ordered pixel pair when they fit a
+fixed budget, recorded as the region alone, and otherwise samples flat
+pair indices; neither builds the full pair universe.
 """
 
 from __future__ import annotations
@@ -83,17 +84,33 @@ class BoxSet:
 
 @dataclass
 class BoxPairs:
+    """Ordered pixel pairs of one active box's effective region (flat
+    pixel indices): all m*m of them when ``q`` is None, else the sampled
+    flat pairs ``q``, pair q being (region[q // m], region[q % m])."""
     paste_index: int
-    i: np.ndarray
-    j: np.ndarray
+    region: np.ndarray
+    q: Optional[np.ndarray] = None
+
+    @property
+    def i(self) -> np.ndarray:
+        if self.q is None:
+            return np.repeat(self.region, len(self.region))
+        return self.region[self.q // len(self.region)]
+
+    @property
+    def j(self) -> np.ndarray:
+        if self.q is None:
+            return np.tile(self.region, len(self.region))
+        return self.region[self.q % len(self.region)]
 
     def __len__(self) -> int:
-        return len(self.i)
+        return len(self.region) ** 2 if self.q is None else len(self.q)
 
 
 @dataclass
 class PairSet:
-    """Sampled pixel-index pairs per active box under a shared budget."""
+    """Ordered pixel pairs per active box under a shared budget: every
+    pair of a box whose pairs fit it, a uniform sample of the rest."""
     per_box: List[BoxPairs] = field(default_factory=list)
     budget: int = 0
 
@@ -217,6 +234,15 @@ def compose_predictions(pa: PredictionMap, pb: PredictionMap, boxset: BoxSet) ->
     return PredictionMap(mixed, validate=False)
 
 
+def _sorted_unique(v: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array by one sort: the same values,
+    several times faster than numpy 2's hash-based unique at these sizes."""
+    v = np.sort(v)
+    first = np.ones(len(v), dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first]
+
+
 def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """k distinct integers from [0, n), uniform, O(k) memory, sorted.
 
@@ -233,7 +259,7 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         while vals.size < count:
             need = count - vals.size
             draw = rng.integers(0, n, size=max(32, int(need * 1.4) + 16), dtype=np.int64)
-            vals = np.unique(np.concatenate([vals, draw]))
+            vals = _sorted_unique(np.concatenate([vals, draw]))
         if vals.size > count:
             vals = rng.choice(vals, size=count, replace=False)
             vals.sort()
@@ -242,14 +268,15 @@ def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     if 2 * k <= n:
         return reject(k)
     # dense draw: sample the complement instead (n < 2k keeps this small)
-    excluded = reject(n - k)
-    return np.setdiff1d(np.arange(n, dtype=np.int64), excluded, assume_unique=True)
+    kept = np.ones(n, dtype=bool)
+    kept[reject(n - k)] = False
+    return np.flatnonzero(kept)
 
 
 def drop_pairs(boxset: BoxSet, n_pair: int, rng: np.random.Generator) -> PairSet:
     """Per active box, keep all m*m ordered pixel pairs when they fit the
-    budget, else sample exactly n_pair of them uniformly without
-    replacement; flat pair q decodes to (q // m, q % m)."""
+    budget, drawing nothing, else sample exactly n_pair of them uniformly
+    without replacement; flat pair q decodes to (q // m, q % m)."""
     if n_pair < 1:
         raise ValueError(f"drop_pairs: budget must be >= 1, got {n_pair}")
     lo, hi = boxset.active_range
@@ -257,9 +284,6 @@ def drop_pairs(boxset: BoxSet, n_pair: int, rng: np.random.Generator) -> PairSet
     for paste_index in range(lo, hi + 1):
         region = boxset.effective_regions[paste_index - 1]
         m = len(region)
-        if m * m <= n_pair:
-            q = np.arange(m * m, dtype=np.int64)
-        else:
-            q = _sample_distinct(rng, m * m, n_pair)
-        per_box.append(BoxPairs(paste_index, region[q // m], region[q % m]))
+        q = None if m * m <= n_pair else _sample_distinct(rng, m * m, n_pair)
+        per_box.append(BoxPairs(paste_index, region, q))
     return PairSet(per_box=per_box, budget=n_pair)

@@ -413,26 +413,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", out, (a,), bwd)
 
 
-def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows of a 2-D tensor by integer index array."""
-    if a.data.ndim != 2:
-        raise ValueError(f"take_rows: expects 2-D, got {a.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    n_rows, n_cols = a.data.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise ValueError(f"take_rows: index outside [0, {n_rows})")
-    out = Tensor(a.data[idx])
-
-    def bwd(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        # scatter-add with duplicate indices; bincount per column beats np.add.at
-        for c in range(n_cols):
-            a.grad[:, c] += np.bincount(idx, weights=g[:, c], minlength=n_rows)
-
-    return _record("take_rows", out, (a,), bwd)
+def custom_op(op: str, out_data: np.ndarray, a: Tensor, grad_of) -> Tensor:
+    """Record a hand-differentiated op of one input: ``out_data`` is its
+    value and ``grad_of(g)`` the gradient of ``a`` given the output's."""
+    out = Tensor(out_data)
+    return _record(op, out, (a,), lambda g: _accum(a, grad_of(g)))
 
 
 def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import numbers
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -222,7 +221,6 @@ class StepRecord:
     lr: float
     losses: LossBreakdown
     pair_counts: List[int] = field(default_factory=list)
-    wall_time: float = 0.0
 
 
 class Trainer:
@@ -272,8 +270,6 @@ class Trainer:
     # -- one optimization step ---------------------------------------------
     def train_step(self) -> StepRecord:
         cfg = self.config
-        t0 = time.perf_counter()
-
         sample = self.dataset.labeled(self._next_labeled_index())
         student_logits = self.student.forward(sample.image)
         l_x_t = relaxed_cross_entropy(
@@ -328,7 +324,7 @@ class Trainer:
             "teacher parameters must never accumulate gradients"
 
         rec = StepRecord(step=self.step_index, lr=lr, losses=losses,
-                         pair_counts=pair_counts, wall_time=time.perf_counter() - t0)
+                         pair_counts=pair_counts)
         self.step_index += 1
         return rec
 
@@ -338,8 +334,6 @@ class Trainer:
         student weights or the EMA weights per the eval switch."""
         if use_ema is None:
             use_ema = self.config.ema_eval
-        if self.config.n_validation == 0:
-            raise ValueError("evaluate: validation set is empty")
         params = self.ema.teacher_params if use_ema else None
         cm = ConfusionMatrix(self.config.num_classes)
         with no_grad():

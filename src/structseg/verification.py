@@ -127,6 +127,11 @@ LOSS_CHECKS: Dict[str, Callable[[int], float]] = {
     "relaxed_ce_w3": lambda seed: check_relaxed_ce(seed, window=3),
     "consistency": check_consistency,
     "structured_box": check_structured_box,
+    # an 8x8 region has at most 64**2 pairs, so this budget never binds
+    # and every box takes the exact per-box path
+    "structured_exact": lambda seed: check_structured_box(seed, budget=64 ** 2),
+    # every box with two or more pixels is sampled
+    "structured_sampled": lambda seed: check_structured_box(seed, budget=1),
 }
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from structseg.cutmix import (Box, BoxSet, _sample_distinct,
+from structseg.cutmix import (Box, BoxSet, _sample_distinct, _sorted_unique,
                               boxset_from_boxes, compose_image,
                               compose_predictions, drop_pairs, generate_boxes)
 from structseg.maps import PredictionMap
@@ -229,6 +229,14 @@ class TestSampleDistinct:
             assert len(out) == min(k, n)
             assert len(np.unique(out)) == len(out)
             assert out.min() >= 0 and out.max() < n
+
+    def test_sorted_unique_is_numpy_unique(self):
+        rng = np.random.default_rng(3)
+        for size in (0, 1, 2, 50, 5000):
+            v = rng.integers(0, max(1, size // 2), size=size, dtype=np.int64)
+            out = _sorted_unique(v)
+            np.testing.assert_array_equal(out, np.unique(v))
+            assert out.dtype == np.int64
 
     def test_dense_branch_uniformity(self):
         # k > n/2 goes through complement sampling; check marginal inclusion

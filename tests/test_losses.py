@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from structseg.cutmix import Box, boxset_from_boxes, drop_pairs, generate_boxes
-from structseg.losses import (consistency_loss,
-                              cosine_similarity, relaxed_cross_entropy,
+from structseg.cutmix import (Box, BoxPairs, PairSet, boxset_from_boxes,
+                              drop_pairs, generate_boxes)
+from structseg.losses import (consistency_loss, relaxed_cross_entropy,
                               structured_consistency_box,
                               structured_consistency_full, window_class_mask)
 from structseg.maps import IGNORE, PredictionMap
@@ -28,6 +28,18 @@ def _probs_grad(rng, shape):
 
 
 # -- oracles -----------------------------------------------------------------
+
+def cosine_similarity(pi, pj) -> float:
+    """Cosine of the angle between two class vectors; in (0, 1] for
+    probability vectors."""
+    pi = np.asarray(pi, dtype=np.float64)
+    pj = np.asarray(pj, dtype=np.float64)
+    ni = math.sqrt(float(pi @ pi))
+    nj = math.sqrt(float(pj @ pj))
+    if ni == 0.0 or nj == 0.0:
+        raise ValueError("cosine_similarity: zero-norm vector")
+    return float(pi @ pj) / (ni * nj)
+
 
 def _window_classes_oracle(labels, y, x, w):
     h_img, w_img = labels.shape
@@ -207,7 +219,7 @@ class TestConsistencyLoss:
             consistency_loss(s, g)
 
 
-# -- cosine similarity ---------------------------------------------------------
+# -- the scalar cosine reference -------------------------------------------------
 
 class TestCosineSimilarity:
     def test_self_similarity_is_one(self):
@@ -361,3 +373,73 @@ class TestStructuredBox:
         pairs = drop_pairs(bs, 40, rng)
         with pytest.raises(ValueError, match="gradient"):
             structured_consistency_box(s, g, bs, pairs)
+
+
+# -- the exact per-box node and the sampled-pair node ----------------------------
+
+def _explicit(pairs):
+    """The same pairs, every box listing its flat pairs explicitly, so that
+    all of them take the sampled-pair path."""
+    return PairSet([BoxPairs(bp.paste_index, bp.region, np.arange(len(bp)))
+                    for bp in pairs.per_box], pairs.budget)
+
+
+def _value_and_grad(logits0, guessed, bs, pairs):
+    t = Tensor(logits0, requires_grad=True)
+    loss = structured_consistency_box(PredictionMap.from_logits(t), guessed, bs, pairs)
+    backward(loss)
+    return loss.item(), t.grad
+
+
+class TestStructuredPaths:
+    def test_explicit_pair_path_matches_enumeration(self):
+        strips = boxset_from_boxes([Box(0, 0, 6, 2, 1), Box(0, 2, 6, 2, 2),
+                                    Box(0, 4, 6, 2, 3)], 6, 6)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for bs in (strips, generate_boxes(rng, 8, 8, 4, n_box=3)):
+                s = _probs(rng, (bs.height, bs.width, 3))
+                g = _probs(rng, (bs.height, bs.width, 3))
+                pairs = _explicit(drop_pairs(bs, 64 ** 2, rng))
+                assert all(bp.q is not None for bp in pairs.per_box)
+                got = structured_consistency_box(s, g, bs, pairs).item()
+                expected = _box_pairwise_oracle(s.probs.data, g.probs.data, bs)
+                assert abs(got - expected) < 1e-12
+
+    def test_exact_path_matches_explicit_pairs(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            logits0 = rng.normal(size=(64, 64, 4))
+            g = _probs(rng, (64, 64, 4))
+            bs = generate_boxes(rng, 64, 64, 32, n_box=16)
+            fits = PairSet([bp for bp in drop_pairs(bs, 9000, rng).per_box
+                            if bp.q is None and len(bp) > 0], 9000)
+            assert len(fits.per_box) >= 8
+            exact, g_exact = _value_and_grad(logits0, g, bs, fits)
+            pairwise, g_pairwise = _value_and_grad(logits0, g, bs, _explicit(fits))
+            assert abs(exact - pairwise) <= 1e-14 * pairwise
+            assert np.abs(g_exact - g_pairwise).max() <= 1e-14 * np.abs(g_pairwise).max()
+
+    def test_exact_path_is_zero_at_fixpoint(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            t = Tensor(rng.normal(size=(64, 64, 4)), requires_grad=True)
+            student = PredictionMap.from_logits(t)
+            bs = generate_boxes(rng, 64, 64, 32, n_box=16)
+            pairs = drop_pairs(bs, 64 ** 4, rng)
+            loss = structured_consistency_box(student, student.detach(), bs, pairs)
+            backward(loss)
+            assert loss.item() == 0.0
+            assert np.all(t.grad == 0.0)
+
+    def test_boxes_that_fit_draw_nothing(self):
+        for seed in range(5):
+            bs = generate_boxes(seed, 64, 64, 32, n_box=16)
+            rng = np.random.default_rng(seed)
+            before = rng.bit_generator.state
+            pairs = drop_pairs(bs, 64 ** 4, rng)
+            assert rng.bit_generator.state == before
+            lo, hi = bs.active_range
+            assert pairs.counts() == [len(bs.effective_regions[k - 1]) ** 2
+                                      for k in range(lo, hi + 1)]
+            assert all(bp.q is None for bp in pairs.per_box)

@@ -13,7 +13,7 @@ import pytest
 import structseg
 from structseg.tensor import (Tensor, add, backward, clamp_min, conv2d, div,
                               log, matmul, mul, no_grad, relu, reshape, scale,
-                              softmax, sqrt, square, sub, take_rows, tape,
+                              softmax, sqrt, square, sub, tape,
                               tmean, transpose, tsum)
 from structseg.verification import max_rel_error, numerical_gradient
 
@@ -207,20 +207,6 @@ def test_matmul_and_transpose_gradients():
         fb = lambda x: tsum(square(matmul(Tensor(a0), Tensor(x)))).item()
         assert max_rel_error(ta.grad, numerical_gradient(fa, a0)) < 1e-4
         assert max_rel_error(tb.grad, numerical_gradient(fb, b0)) < 1e-4
-
-
-def test_take_rows_gradient_with_duplicate_indices():
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        x0 = rng.normal(size=(6, 3))
-        idx = rng.integers(0, 6, size=10)
-        t = Tensor(x0, requires_grad=True)
-        backward(tsum(square(take_rows(t, idx))))
-
-        def f(x):
-            return tsum(square(take_rows(Tensor(x), idx))).item()
-
-        assert max_rel_error(t.grad, numerical_gradient(f, x0)) < 1e-4
 
 
 @pytest.mark.parametrize("pad_mode", ["zeros", "wrap"])

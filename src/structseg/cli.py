@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, evaluate, ablate, gradcheck, oracle, dump. Configs are
-JSON files whose keys mirror TrainConfig; any field can be overridden with
-a ``--key value`` flag. Unknown config keys are hard errors.
+Subcommands: train, evaluate, ablate, gradcheck, oracle, dump. Each takes
+only the flags it reads. train, ablate and dump take a JSON ``--config``
+file whose keys mirror TrainConfig, and override any field with a
+``--key value`` flag; evaluate takes its whole config from the checkpoint;
+gradcheck and oracle take their seed range. Unknown config keys and flags
+are hard errors.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (including
 an unreadable or malformed --config or --checkpoint file, and bad --seeds
@@ -75,7 +78,7 @@ def resolve_config(args: argparse.Namespace) -> TrainConfig:
     manifest is accepted wherever a config is: its resolved config is used,
     which makes any run reproducible from its manifest alone."""
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             try:
                 base = json.load(f)
@@ -86,11 +89,8 @@ def resolve_config(args: argparse.Namespace) -> TrainConfig:
         if "config_hash" in base and "config" in base:
             base = base["config"]
     cfg = TrainConfig.from_dict(base)
-    overrides = {}
-    for f in fields(TrainConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            overrides[f.name] = v
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name) is not None}
     if overrides:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), **overrides})
     return cfg
@@ -185,10 +185,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     net, ema_state, meta = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(meta["config"])
-    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
-                 if getattr(args, f.name, None) is not None}
-    if overrides:
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), **overrides})
     trainer = Trainer(cfg)
     trainer.student = net
     trainer.ema = ema_state
@@ -213,10 +209,9 @@ def _seed_range(args: argparse.Namespace) -> tuple:
     """(n_seeds, seed0) of the gradcheck and oracle subcommands."""
     if args.seeds_count < 1:
         raise UsageError(f"--seeds-count must be >= 1, got {args.seeds_count}")
-    seed0 = args.seed or 0
-    if seed0 < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed0}")
-    return args.seeds_count, seed0
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    return args.seeds_count, args.seed
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -303,13 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory")
         _add_config_overrides(p)
 
+    def seed_range(p: argparse.ArgumentParser, count: int) -> None:
+        p.add_argument("--seed", type=int, default=0, help="first seed")
+        p.add_argument("--seeds-count", type=int, default=count)
+
     p_train = sub.add_parser("train", help="run a training job")
     common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a checkpoint on validation data")
-    common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--checkpoint", required=True,
+                        help="checkpoint to score under the config it was trained with")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_abl = sub.add_parser("ablate", help="run an ablation grid")
@@ -319,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(func=cmd_ablate)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all losses")
-    common(p_gc)
-    p_gc.add_argument("--seeds-count", type=int, default=20)
+    seed_range(p_gc, 20)
     p_gc.add_argument("--corrupt-op", help="test hook: corrupt one op's backward rule")
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_or = sub.add_parser("oracle", help="compare fast pairwise loss to enumeration")
-    common(p_or)
-    p_or.add_argument("--seeds-count", type=int, default=50)
+    seed_range(p_or, 50)
     p_or.set_defaults(func=cmd_oracle)
 
     p_dump = sub.add_parser("dump", help="write PPM/PGM artifact dumps")

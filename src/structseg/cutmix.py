@@ -67,10 +67,6 @@ class BoxSet:
     def coverage(self) -> float:
         return float(self.mask.sum()) / (self.height * self.width)
 
-    def active_boxes(self):
-        lo, hi = self.active_range
-        return [b for b in self.boxes if lo <= b.paste_index <= hi]
-
     def to_json(self) -> str:
         return json.dumps({
             "height": self.height,
@@ -207,10 +203,9 @@ def generate_boxes(rng: Union[np.random.Generator, int], height: int, width: int
     return bs
 
 
-def compose_image(ua, ub, boxset: BoxSet):
+def compose_image(ua: np.ndarray, ub: np.ndarray, boxset: BoxSet) -> np.ndarray:
     """Per-pixel select: pasted-image pixel where mask=1, base pixel elsewhere."""
-    a = ua.data if isinstance(ua, Tensor) else np.asarray(ua)
-    b = ub.data if isinstance(ub, Tensor) else np.asarray(ub)
+    a, b = np.asarray(ua), np.asarray(ub)
     if a.shape != b.shape:
         raise ValueError(f"compose_image: shapes {a.shape} and {b.shape} differ")
     if a.shape[:2] != (boxset.height, boxset.width):
@@ -220,18 +215,15 @@ def compose_image(ua, ub, boxset: BoxSet):
     sel = boxset.mask.astype(bool)
     if a.ndim == 3:
         sel = sel[:, :, None]
-    out = np.where(sel, b, a)
-    if isinstance(ua, Tensor):
-        return Tensor(out)
-    return out
+    return np.where(sel, b, a)
 
 
 def compose_predictions(pa: PredictionMap, pb: PredictionMap, boxset: BoxSet) -> PredictionMap:
     """CutMix two probability fields into the guessed label; carries no gradient."""
     if pa.shape != pb.shape:
         raise ValueError(f"compose_predictions: shapes {pa.shape} and {pb.shape} differ")
-    mixed = compose_image(pa.probs.detach(), pb.probs.detach(), boxset)
-    return PredictionMap(mixed, validate=False)
+    mixed = compose_image(pa.probs.data, pb.probs.data, boxset)
+    return PredictionMap(Tensor(mixed), validate=False)
 
 
 def _sorted_unique(v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ class SegNetDescriptor:
     in_channels: int = 3
     widths: tuple = (32, 32, 32, 4)
     kernel_size: int = 3
-    pad_mode: str = "zeros"
 
     def validate(self) -> None:
         if self.in_channels < 1 or len(self.widths) < 1:
@@ -50,12 +49,12 @@ class SegNetDescriptor:
 
     def to_dict(self) -> dict:
         return {"in_channels": self.in_channels, "widths": list(self.widths),
-                "kernel_size": self.kernel_size, "pad_mode": self.pad_mode}
+                "kernel_size": self.kernel_size}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SegNetDescriptor":
         return cls(in_channels=int(d["in_channels"]), widths=tuple(d["widths"]),
-                   kernel_size=int(d["kernel_size"]), pad_mode=d["pad_mode"])
+                   kernel_size=int(d["kernel_size"]))
 
 
 @dataclass
@@ -77,10 +76,6 @@ class SegNet:
             yield f"conv{i}.kernel", k
             yield f"conv{i}.bias", b
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params)
-
     def forward(self, image: Union[Tensor, np.ndarray],
                 params: Optional[Sequence[Tensor]] = None) -> Tensor:
         """Logits (H,W,C) for an (H,W,in_channels) image; pass ``params``
@@ -98,7 +93,7 @@ class SegNet:
         pad = self.descriptor.kernel_size // 2
         n_layers = len(kernels)
         for i, (k, b) in enumerate(zip(kernels, biases)):
-            x = conv2d(x, k, b, padding=pad, pad_mode=self.descriptor.pad_mode)
+            x = conv2d(x, k, b, padding=pad)
             if i < n_layers - 1:
                 x = relu(x)
         return x

@@ -126,10 +126,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item: tensor of shape {self.shape} is not scalar")
@@ -138,13 +134,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """View of the same data with gradient tracking off."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def assert_finite(self, what: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"{what} contains non-finite values")
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -156,37 +145,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def backward(self):
-        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -435,13 +398,13 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0, pad_mode: str = "zeros") -> Tensor:
-    """2-D stride-1 cross-correlation on an HxWxC image.
+           padding: int = 0) -> Tensor:
+    """2-D stride-1 cross-correlation on an HxWxC image, zero-padded by
+    ``padding`` on each side.
 
     kernel has shape (kh, kw, c_in, c_out); the spatial loops run over
     kernel offsets only, each offset contributing one (H*W, c_in) x
-    (c_in, c_out) product. pad_mode "wrap" gives circular padding, used
-    by the translation-equivariance harness.
+    (c_in, c_out) product.
 
     Backward: the kernel gradient at each offset is a batch of per-row
     (c_in, W) x (W, c_out) products summed over rows. The input gradient
@@ -449,7 +412,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     kernel flipped in space and its channel axes swapped; walking the
     offsets in reverse adds the terms in the same order as scattering
     ``g @ kernel[ky, kx].T`` into each offset's window, so it is
-    bit-identical to that scatter-add.
+    bit-identical to that scatter-add; cropping the padding off gives the
+    image's gradient.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
@@ -459,18 +423,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     kh, kw, kcin, cout = kernel.data.shape
     if kcin != cin:
         raise ValueError(f"conv2d: input has {cin} channels, kernel expects {kcin}")
-    if pad_mode not in ("zeros", "wrap"):
-        raise ValueError(f"conv2d: unknown pad_mode {pad_mode!r}")
     if bias is not None and bias.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} outputs")
     p = int(padding)
-    if p > 0:
-        mode = "constant" if pad_mode == "zeros" else "wrap"
-        xp = np.pad(x.data, ((p, p), (p, p), (0, 0)), mode=mode)
-    else:
-        xp = x.data
-    ph, pw = xp.shape[0], xp.shape[1]
-    oh, ow = ph - kh + 1, pw - kw + 1
+    xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
+    oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: kernel {kernel.shape} larger than padded input {xp.shape}")
 
@@ -493,16 +450,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
             gp = np.pad(g, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
             flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
             gxp = _correlate(gp, flipped, reverse=True)
-            if p == 0:
-                _accum(x, gxp)
-            elif pad_mode == "zeros":
-                _accum(x, gxp[p:p + h, p:p + w, :])
-            else:
-                gx = np.zeros_like(x.data)
-                iy = (np.arange(ph) - p) % h
-                ix = (np.arange(pw) - p) % w
-                np.add.at(gx, (iy[:, None], ix[None, :]), gxp)
-                _accum(x, gx)
+            _accum(x, gxp[p:p + h, p:p + w, :])
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _record("conv2d", out, inputs, bwd)

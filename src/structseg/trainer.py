@@ -48,11 +48,9 @@ class TrainConfig:
     num_boxes: int = 32
     num_active_boxes: int = 16
     pair_budget: int = 9000
-    # loss weights and toggles
+    # loss weights (0 switches a loss off)
     consistency_weight: float = 20.0
     structured_weight: float = 3.0
-    use_consistency: bool = True
-    use_structured: bool = True
     relax_window: int = 3
     # teacher
     ema_decay: float = 0.999
@@ -71,7 +69,6 @@ class TrainConfig:
     # model
     model_widths: tuple = (32, 32, 32)
     kernel_size: int = 3
-    in_channels: int = 3
     # io cadence (0 = final only)
     checkpoint_every: int = 0
     eval_every: int = 0
@@ -106,8 +103,6 @@ class TrainConfig:
             raise ConfigError(f"height and width must be >= 8, got {self.height}x{self.width}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.in_channels != 3:
-            raise ConfigError(f"in_channels must be 3 (RGB scenes), got {self.in_channels}")
         try:
             self.model_descriptor().validate()
         except ValueError as e:
@@ -140,9 +135,8 @@ class TrainConfig:
             raise ConfigError("unlabeled branch needs at least two unlabeled scenes")
 
     def unlabeled_branch_active(self) -> bool:
-        """A zero weight is equivalent to switching the loss off entirely."""
-        return ((self.use_consistency and self.consistency_weight > 0)
-                or (self.use_structured and self.structured_weight > 0))
+        """A zero weight switches its loss off entirely."""
+        return self.consistency_weight > 0 or self.structured_weight > 0
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -180,7 +174,6 @@ class TrainConfig:
 
     def model_descriptor(self) -> SegNetDescriptor:
         return SegNetDescriptor(
-            in_channels=self.in_channels,
             widths=tuple(self.model_widths) + (self.num_classes,),
             kernel_size=self.kernel_size)
 
@@ -192,11 +185,12 @@ class TrainConfig:
             texture_sigma=self.texture_sigma)
 
 
-# Loss-toggle ablation rows and the EMA teacher/validation grid.
+# Loss ablation rows (a zero weight switches a loss off) and the EMA
+# teacher/validation grid.
 LOSS_VARIANTS: Dict[str, dict] = {
-    "sup": {"use_consistency": False, "use_structured": False},
-    "sup+c": {"use_consistency": True, "use_structured": False},
-    "sup+c+sc": {"use_consistency": True, "use_structured": True},
+    "sup": {"consistency_weight": 0.0, "structured_weight": 0.0},
+    "sup+c": {"structured_weight": 0.0},
+    "sup+c+sc": {},
 }
 EMA_VARIANTS: Dict[str, dict] = {
     "X/X": {"ema_teacher": False, "ema_eval": False},
@@ -295,11 +289,11 @@ class Trainer:
             guessed = compose_predictions(pred_a, pred_b, boxset)
             mixed = compose_image(pair.ua, pair.ub, boxset)
             student_probs = PredictionMap.from_logits(self.student.forward(mixed))
-            if cfg.use_consistency and cfg.consistency_weight > 0:
+            if cfg.consistency_weight > 0:
                 l_c_t = consistency_loss(student_probs, guessed)
                 loss_t = loss_t + cfg.consistency_weight * l_c_t
                 l_c = l_c_t.item()
-            if cfg.use_structured and cfg.structured_weight > 0:
+            if cfg.structured_weight > 0:
                 pairs = drop_pairs(boxset, cfg.pair_budget, self.rng_pairs)
                 pair_counts = pairs.counts()
                 l_sc_t = structured_consistency_box(student_probs, guessed, boxset, pairs)

@@ -264,10 +264,11 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["gradcheck", "--seeds-count", "0"],
         ["oracle", "--seeds-count", "0"],
-        ["ablate", "--seeds", "0,1,x"],
+        ["ablate", "--seeds", "0,1,x", "--out-dir", "out"],
     ], ids=["gradcheck", "oracle", "ablate"])
-    def test_bad_subcommand_arguments_exit_2(self, tmp_path, capsys, argv):
-        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    def test_bad_subcommand_arguments_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.strip().splitlines()
@@ -281,6 +282,39 @@ class TestUsage:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "pair_mode": "ordered"}))
         assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--checkpoint", "run.bin", "--num-classes", "6"],
+        ["evaluate", "--checkpoint", "run.bin", "--model-widths", "8,8"],
+        ["evaluate", "--checkpoint", "run.bin", "--config", "x.json"],
+        ["gradcheck", "--lr0", "-5"],
+        ["oracle", "--out-dir", "d"],
+    ], ids=["evaluate-num-classes", "evaluate-model-widths", "evaluate-config",
+            "gradcheck-lr0", "oracle-out-dir"])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys,
+                                                       monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("use_consistency", False), ("use_structured", True), ("in_channels", 3),
+    ])
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_removed_config_keys_are_rejected(self, tmp_path, capsys, key, value, source):
+        cfg = {**TINY_CONFIG, key: value}
+        if source == "manifest":
+            cfg = {"config": cfg, "config_hash": "0" * 64}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"config error: unknown config key: {key}"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_unknown_flag_exits_2(self):

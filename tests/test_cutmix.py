@@ -92,7 +92,8 @@ class TestGenerateBoxes:
     def test_active_range_is_posterior_slice(self):
         bs = generate_boxes(0, 32, 32, 8, n_box=3)
         assert bs.active_range == (6, 8)
-        assert [b.paste_index for b in bs.active_boxes()] == [6, 7, 8]
+        lo, hi = bs.active_range
+        assert [b.paste_index for b in bs.boxes if lo <= b.paste_index <= hi] == [6, 7, 8]
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

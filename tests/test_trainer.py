@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from structseg import trainer as trainer_mod
+from structseg.losses import PredictionMap, relaxed_cross_entropy
 from structseg.model import SegNet
-from structseg.optim import poly_lr
-from structseg.tensor import NonFiniteError
+from structseg.optim import poly_lr, sgd_step
+from structseg.tensor import NonFiniteError, backward
 from structseg.trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS,
                                TrainConfig, Trainer, ablation_csv_rows,
                                load_checkpoint, run_ablation, save_checkpoint)
@@ -49,7 +50,7 @@ class TestConfig:
                 ("momentum", float("inf"), "momentum"), ("momentum", 1.0, "momentum"),
                 ("epochs", "ten", "epochs"), ("epochs", True, "epochs"),
                 ("height", 8.0, "height"), ("height", 4, "height"),
-                ("use_structured", 1, "use_structured"), ("num_classes", 1, "num_classes"),
+                ("ema_teacher", 1, "ema_teacher"), ("num_classes", 1, "num_classes"),
                 ("model_widths", (6.5,), "model_widths"),
                 ("model_widths", (200, 200), "cap"), ("kernel_size", 2, "odd"),
                 ("seed", -1, "seed"), ("texture_sigma", -1.0, "texture_sigma"),
@@ -67,7 +68,7 @@ class TestConfig:
 
 class TestBranchToggles:
     def test_supervised_only_skips_unlabeled_branch(self):
-        tr = Trainer(_cfg(use_consistency=False, use_structured=False, seed=0))
+        tr = Trainer(_cfg(consistency_weight=0.0, structured_weight=0.0, seed=0))
         state_before = copy.deepcopy(tr.rng_unlabeled.bit_generator.state)
         rec = tr.train_step()
         assert rec.losses.l_c == 0.0 and rec.losses.l_sc == 0.0
@@ -78,17 +79,23 @@ class TestBranchToggles:
         assert tr._unlabeled_queue == []
 
     def test_zero_weights_bitwise_identical_to_supervised_only(self):
-        a = Trainer(_cfg(use_consistency=False, use_structured=False, seed=3))
-        b = Trainer(_cfg(use_consistency=True, use_structured=True,
-                         consistency_weight=0.0, structured_weight=0.0, seed=3))
-        for _ in range(4):
-            a.train_step()
-            b.train_step()
-        for pa, pb in zip(a.student.params, b.student.params):
+        """Zero weights leave exactly the supervised step: the relaxed cross
+        entropy of the labeled scene and one SGD update on its gradient."""
+        cfg = _cfg(consistency_weight=0.0, structured_weight=0.0, seed=3)
+        tr = Trainer(cfg)
+        ref = Trainer(cfg)
+        for step in range(4):
+            tr.train_step()
+            sample = ref.dataset.labeled(ref._next_labeled_index())
+            probs = PredictionMap.from_logits(ref.student.forward(sample.image))
+            backward(relaxed_cross_entropy(probs, sample.labels, cfg.relax_window))
+            sgd_step(ref.student.params, poly_lr(step, ref.max_steps, cfg.lr0, cfg.power),
+                     cfg.momentum, cfg.weight_decay, ref.velocity)
+        for pa, pb in zip(tr.student.params, ref.student.params):
             assert np.array_equal(pa.data, pb.data)
 
     def test_consistency_only_branch(self):
-        tr = Trainer(_cfg(use_structured=False, seed=1))
+        tr = Trainer(_cfg(structured_weight=0.0, seed=1))
         rec = tr.train_step()
         assert rec.losses.l_c > 0.0
         assert rec.losses.l_sc == 0.0

@@ -3,9 +3,10 @@
 Subcommands: train, evaluate, ablate, gradcheck, oracle, dump. Each takes
 only the flags it reads. train, ablate and dump take a JSON ``--config``
 file whose keys mirror TrainConfig, and override any field with a
-``--key value`` flag; evaluate takes its whole config from the checkpoint;
-gradcheck and oracle take their seed range. Unknown config keys and flags
-are hard errors.
+``--key value`` flag (dump --checkpoint starts from the checkpoint's config
+instead of the defaults); evaluate takes its whole config from the
+checkpoint; gradcheck and oracle take their seed range. Unknown config
+keys and flags are hard errors.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (including
 an unreadable or malformed --config or --checkpoint file, and bad --seeds
@@ -73,8 +74,9 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, dest=f.name, type=str, default=None)
 
 
-def resolve_config(args: argparse.Namespace) -> TrainConfig:
-    """Defaults, then the config file, then command-line overrides. A run
+def resolve_config(args: argparse.Namespace, defaults: Optional[dict] = None) -> TrainConfig:
+    """TrainConfig's defaults (or ``defaults``, such as a checkpoint's
+    config), then the config file, then command-line overrides. A run
     manifest is accepted wherever a config is: its resolved config is used,
     which makes any run reproducible from its manifest alone."""
     base = {}
@@ -88,7 +90,7 @@ def resolve_config(args: argparse.Namespace) -> TrainConfig:
             raise ConfigError(f"{args.config} does not hold a JSON object")
         if "config_hash" in base and "config" in base:
             base = base["config"]
-    cfg = TrainConfig.from_dict(base)
+    cfg = TrainConfig.from_dict({**(defaults or {}), **base})
     overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
                  if getattr(args, f.name) is not None}
     if overrides:
@@ -257,8 +259,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    net = load_checkpoint(args.checkpoint)[0] if args.checkpoint else None
+    """With --checkpoint, the checkpoint's config is the base that --config
+    and flags override, and they must keep the net it holds."""
+    net, meta = None, {}
+    if args.checkpoint:
+        net, _, meta = load_checkpoint(args.checkpoint)
+    cfg = resolve_config(args, meta.get("config"))
+    if net is not None and cfg.model_descriptor() != net.descriptor:
+        raise ConfigError(f"the config describes the net {cfg.model_descriptor()}, "
+                          f"but the checkpoint holds {net.descriptor}")
     out_dir = Path(args.out_dir or "dumps")
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = cfg.make_dataset()
@@ -329,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="write PPM/PGM artifact dumps")
     common(p_dump)
     p_dump.add_argument("--count", type=int, default=4)
-    p_dump.add_argument("--checkpoint", help="also dump predicted masks")
+    p_dump.add_argument("--checkpoint",
+                        help="also dump predicted masks, under the checkpoint's config")
     p_dump.set_defaults(func=cmd_dump)
 
     return parser

@@ -3,10 +3,12 @@ branch, pixel-wise consistency against the guessed label, cosine-similarity
 structure matching over all pixel pairs (reference form, tiny images only)
 and its box-restricted form.
 
-The box-restricted loss is two hand-differentiated tape nodes. Boxes whose
-m*m ordered pairs all fit the pair budget go through an exact per-box Gram
-identity costing O(m*C^2); boxes with sampled pairs go through one fused
-node over their pair list.
+The box-restricted loss is one hand-differentiated tape node. It
+row-normalizes the student's and the guessed probabilities once; boxes
+whose m*m ordered pairs all fit the pair budget add an exact per-box Gram
+term costing O(m*C^2), boxes with sampled pairs add their pairs' squared
+differences of dot products on the same unit rows, and one backward pass
+goes through the normalization for both.
 """
 
 from __future__ import annotations
@@ -111,94 +113,6 @@ def _unit_rows(p: np.ndarray):
     return p / norms, norms
 
 
-def _exact_boxes(probs: Tensor, p_t: np.ndarray, boxes, n_boxes: int) -> Tensor:
-    """Sum over boxes b of ||S S^T - T T^T||_F^2 / (n_boxes * m_b^2), with
-    S and T the m_b x C row-normalized student and guessed rows of the
-    box's effective region: its mean over all m_b^2 ordered pairs.
-
-    With X = S - T and Y = S + T, S S^T - T T^T = (X Y^T + Y X^T) / 2, so
-    the squared norm is tr((Y^T X)^2) / 2 + <X^T X, Y^T Y>_F / 2, made of
-    C x C Gram matrices only. At S == T, X is exactly 0, and so are the
-    value and the gradient. Regions are disjoint, so the boxes' rows are
-    gathered once and each box is a segment of them.
-    """
-    p_s = probs.data.reshape(p_t.shape)
-    sizes = np.array([len(bp.region) for bp in boxes])
-    rows = np.concatenate([bp.region for bp in boxes])
-    starts = np.cumsum(sizes) - sizes
-    box_of_row = np.repeat(np.arange(len(boxes)), sizes)
-    weights = 1.0 / (n_boxes * sizes.astype(np.float64) ** 2)
-    s_hat, s_norms = _unit_rows(p_s.take(rows, axis=0))
-    t_hat, _ = _unit_rows(p_t.take(rows, axis=0))
-    x = s_hat - t_hat
-    y = s_hat + t_hat
-
-    def gram(a, b):  # per box, a_b^T b_b
-        return np.add.reduceat(a[:, :, None] * b[:, None, :], starts, axis=0)
-
-    yx, xx, yy = gram(y, x), gram(x, x), gram(y, y)
-    per_box = np.einsum("bij,bji->b", yx, yx) + (xx * yy).sum(axis=(1, 2))
-
-    def grad_of(g):
-        # d/dS = 2 (X (Y^T S) + Y (X^T S)) per box, with Y^T S = (Y^T Y +
-        # Y^T X) / 2 and X^T S = (X^T X + X^T Y) / 2 since S = (X + Y) / 2
-        k_x = (yy + yx)[box_of_row]
-        k_y = (xx + yx.transpose(0, 2, 1))[box_of_row]
-        g_hat = (g * weights)[box_of_row, None] * (
-            np.einsum("nc,ncd->nd", x, k_x) + np.einsum("nc,ncd->nd", y, k_y))
-        # back through the row normalization s / |s|
-        g_rows = (g_hat - s_hat * (s_hat * g_hat).sum(axis=1, keepdims=True)) / s_norms
-        grad = np.zeros_like(p_s)
-        grad[rows] = g_rows
-        return grad.reshape(probs.data.shape)
-
-    return custom_op("structured_exact", 0.5 * (weights @ per_box), probs, grad_of)
-
-
-def _pair_cosines(p: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray):
-    """Cosines of the pixel pairs (p[idx_i[k]], p[idx_j[k]]), with the
-    gathered rows and their squared norms. A squared norm is the same row
-    sum whether taken per pixel or per pair, so it is taken per pixel and
-    gathered; ``take`` gathers rows several times faster than indexing."""
-    sq_norms = (p * p).sum(axis=1)
-    pi = p.take(idx_i, axis=0)
-    pj = p.take(idx_j, axis=0)
-    ni2 = sq_norms.take(idx_i)
-    nj2 = sq_norms.take(idx_j)
-    return (pi * pj).sum(axis=1) / np.sqrt(ni2 * nj2), pi, pj, ni2, nj2
-
-
-def _sampled_pairs(probs: Tensor, p_t: np.ndarray, boxes, n_boxes: int) -> Tensor:
-    """Sum over boxes b and their sampled pairs (i, j) of (cos_s(i, j) -
-    cos_t(i, j))^2 / (n_boxes * n_b), n_b being the box's pair count."""
-    p_s = probs.data.reshape(p_t.shape)
-    idx_i = np.concatenate([bp.i for bp in boxes])
-    idx_j = np.concatenate([bp.j for bp in boxes])
-    weights = np.concatenate(
-        [np.full(len(bp), 1.0 / (n_boxes * len(bp))) for bp in boxes])
-    cos, pi, pj, ni2, nj2 = _pair_cosines(p_s, idx_i, idx_j)
-    d = cos - _pair_cosines(p_t, idx_i, idx_j)[0]
-
-    def grad_of(g):
-        # d cos / d pi = pj / (|pi| |pj|) - cos pi / |pi|^2, and symmetrically;
-        # one class column at a time, since broadcasting a per-pair factor
-        # over a few classes runs numpy's inner loops a few elements long
-        gd = 2.0 * g * weights * d
-        g_cross = gd / np.sqrt(ni2 * nj2)
-        g_ii = gd * cos / ni2
-        g_jj = gd * cos / nj2
-        idx = np.concatenate([idx_i, idx_j])
-        grad = np.empty_like(p_s)
-        # scatter-add with repeated rows; bincount per column beats np.add.at
-        for c in range(grad.shape[1]):
-            g_pairs = np.concatenate([g_cross * pj[:, c] - g_ii * pi[:, c],
-                                      g_cross * pi[:, c] - g_jj * pj[:, c]])
-            grad[:, c] = np.bincount(idx, weights=g_pairs, minlength=len(grad))
-        return grad.reshape(probs.data.shape)
-
-    return custom_op("structured_sampled", (d * d * weights).sum(), probs, grad_of)
-
-
 def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
                                boxset: BoxSet, pairs: PairSet) -> Tensor:
     """Box-restricted structured consistency: per active box, the mean
@@ -219,12 +133,68 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         logger.warning("structured_consistency_box: every active box has an "
                        "empty pair list, returning 0")
         return Tensor(0.0)
-    p_t = guessed.probs.data.reshape(-1, guessed.num_classes)
     # The double average (over boxes, then over a box's pairs) is a linear
-    # weighting, so each path sums its boxes' weighted terms in one node.
+    # weighting, so every box adds its weighted term to one node.
     n_boxes = len(nonempty)
     exact = [bp for bp in nonempty if bp.q is None]
     sampled = [bp for bp in nonempty if bp.q is not None]
-    parts = [node(student.probs, p_t, group, n_boxes)
-             for node, group in ((_exact_boxes, exact), (_sampled_pairs, sampled)) if group]
-    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    s_hat, s_norms = _unit_rows(student.probs.data.reshape(-1, student.num_classes))
+    t_hat, _ = _unit_rows(guessed.probs.data.reshape(-1, guessed.num_classes))
+    terms = []
+    if exact:
+        # ||S S^T - T T^T||_F^2 per box, S and T its m x C unit rows: with
+        # X = S - T and Y = S + T, S S^T - T T^T = (X Y^T + Y X^T) / 2, so
+        # it is tr((Y^T X)^2) / 2 + <X^T X, Y^T Y>_F / 2, made of C x C Gram
+        # matrices only, and exactly 0 at S == T. Regions are disjoint, so
+        # each box is a segment of the gathered rows.
+        sizes = np.array([len(bp.region) for bp in exact])
+        rows = np.concatenate([bp.region for bp in exact])
+        starts = np.cumsum(sizes) - sizes
+        box_of_row = np.repeat(np.arange(len(exact)), sizes)
+        box_w = 1.0 / (n_boxes * sizes.astype(np.float64) ** 2)
+        s_rows, t_rows = s_hat.take(rows, axis=0), t_hat.take(rows, axis=0)
+        x, y = s_rows - t_rows, s_rows + t_rows
+
+        def gram(a, b):  # per box, a_b^T b_b
+            return np.add.reduceat(a[:, :, None] * b[:, None, :], starts, axis=0)
+
+        yx, xx, yy = gram(y, x), gram(x, x), gram(y, y)
+        per_box = np.einsum("bij,bji->b", yx, yx) + (xx * yy).sum(axis=(1, 2))
+        terms.append(0.5 * (box_w @ per_box))
+    if sampled:
+        # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count
+        idx_i = np.concatenate([bp.i for bp in sampled])
+        idx_j = np.concatenate([bp.j for bp in sampled])
+        pair_w = np.concatenate(
+            [np.full(len(bp), 1.0 / (n_boxes * len(bp))) for bp in sampled])
+        s_i, s_j = s_hat.take(idx_i, axis=0), s_hat.take(idx_j, axis=0)
+        d = (np.einsum("nc,nc->n", s_i, s_j)
+             - np.einsum("nc,nc->n", t_hat.take(idx_i, axis=0), t_hat.take(idx_j, axis=0)))
+        terms.append((d * d * pair_w).sum())
+
+    def grad_of(g):
+        g_hat = np.zeros_like(s_hat)
+        if exact:
+            # d/dS = 2 (X (Y^T S) + Y (X^T S)) per box, with Y^T S = (Y^T Y +
+            # Y^T X) / 2 and X^T S = (X^T X + X^T Y) / 2 since S = (X + Y) / 2
+            k_x = (yy + yx)[box_of_row]
+            k_y = (xx + yx.transpose(0, 2, 1))[box_of_row]
+            g_hat[rows] = (g * box_w)[box_of_row, None] * (
+                np.einsum("nc,ncd->nd", x, k_x) + np.einsum("nc,ncd->nd", y, k_y))
+        if sampled:
+            # d(s_i . s_j)/ds_i = s_j on unit rows. Only the part orthogonal
+            # to s_i survives the normalization backward, so row i takes
+            # s_j - s_i and row j takes s_i - s_j, which cancel less. Scatter-
+            # add with repeated rows, one bincount per class (beats np.add.at)
+            gd = 2.0 * g * pair_w * d
+            delta = s_j - s_i
+            idx = np.concatenate([idx_i, idx_j])
+            for c in range(g_hat.shape[1]):
+                g_hat[:, c] += np.bincount(idx, weights=np.concatenate(
+                    [gd * delta[:, c], -gd * delta[:, c]]), minlength=len(g_hat))
+        # back through the row normalization s / |s|, once for both groups
+        grad = (g_hat - s_hat * (s_hat * g_hat).sum(axis=1, keepdims=True)) / s_norms
+        return grad.reshape(student.probs.data.shape)
+
+    value = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    return custom_op("structured_box", value, student.probs, grad_of)

@@ -138,7 +138,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars are folded in without creating constants
+    # arithmetic sugar; a scalar factor folds into ``scale``, any other
+    # scalar operand becomes a constant tensor
     def __add__(self, other):
         return add(self, other)
 
@@ -214,9 +215,6 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        out = Tensor(a.data + float(b))
-        return _record("add", out, (a,), lambda g: _accum(a, g))
     b = _as_tensor(b)
     _check_broadcast("add", a, b)
     out = Tensor(a.data + b.data)
@@ -229,9 +227,6 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        out = Tensor(a.data - float(b))
-        return _record("sub", out, (a,), lambda g: _accum(a, g))
     b = _as_tensor(b)
     _check_broadcast("sub", a, b)
     out = Tensor(a.data - b.data)
@@ -264,8 +259,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return scale(a, 1.0 / float(b))
     b = _as_tensor(b)
     _check_broadcast("div", a, b)
     out = Tensor(a.data / b.data)

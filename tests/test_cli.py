@@ -170,6 +170,13 @@ class TestGradcheck:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_corrupted_structured_node_fails_its_three_legs(self, capsys):
+        code = main(["gradcheck", "--seeds-count", "2", "--corrupt-op", "structured_box"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        assert sorted(line.split(":")[0] for line in lines if "FAIL" in line) == [
+            "structured_box", "structured_exact", "structured_sampled"]
+
     def test_constant_loss_seed_passes(self, capsys):
         # every 3x3 label window of seed 2984 holds every class, so the
         # window-3 loss is constant and both gradients are rounding noise
@@ -202,6 +209,27 @@ class TestDump:
         assert (out / "cutmix-composed.ppm").exists()
         assert (out / "cutmix-mask.pgm").exists()
         assert (out / "cutmix-boxes.json").exists()
+
+    def test_checkpoint_config_is_the_base(self, tmp_path, tiny_config, capsys):
+        # a 3-class 32x32 net, dumped with no config, predicts on its own corpus
+        _, run = _train(tmp_path, tiny_config, "run", "--height", "32", "--width", "32")
+        ckpt = str(run / "checkpoint.bin")
+        out = tmp_path / "dumps"
+        assert main(["dump", "--checkpoint", ckpt, "--out-dir", str(out), "--count", "1"]) == 0
+        raw = (out / "val0-pred.pgm").read_bytes()
+        header = b"P5\n32 32\n255\n"
+        assert raw.startswith(header) and len(raw) == len(header) + 32 * 32
+        assert set(raw[len(header):]) == {0, 127, 254}
+        capsys.readouterr()
+        # a flag that changes the net's architecture is refused before any output
+        other = tmp_path / "other"
+        assert main(["dump", "--checkpoint", ckpt, "--out-dir", str(other),
+                     "--num-classes", "4"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not other.exists()
 
 
 class TestUsage:

@@ -15,7 +15,7 @@ from structseg.losses import (consistency_loss, relaxed_cross_entropy,
                               structured_consistency_box,
                               structured_consistency_full, window_class_mask)
 from structseg.maps import IGNORE, PredictionMap
-from structseg.tensor import Tensor, backward
+from structseg.tensor import Tensor, backward, tape
 
 
 def _probs(rng, shape):
@@ -375,7 +375,7 @@ class TestStructuredBox:
             structured_consistency_box(s, g, bs, pairs)
 
 
-# -- the exact per-box node and the sampled-pair node ----------------------------
+# -- the exact per-box term and the sampled-pair term ----------------------------
 
 def _explicit(pairs):
     """The same pairs, every box listing its flat pairs explicitly, so that
@@ -427,6 +427,32 @@ class TestStructuredPaths:
             student = PredictionMap.from_logits(t)
             bs = generate_boxes(rng, 64, 64, 32, n_box=16)
             pairs = drop_pairs(bs, 64 ** 4, rng)
+            loss = structured_consistency_box(student, student.detach(), bs, pairs)
+            backward(loss)
+            assert loss.item() == 0.0
+            assert np.all(t.grad == 0.0)
+
+    def test_mixed_box_set_is_one_node(self):
+        rng = np.random.default_rng(3)
+        s, _ = _probs_grad(rng, (64, 64, 4))
+        g = _probs(rng, (64, 64, 4))
+        bs = generate_boxes(rng, 64, 64, 32, n_box=16)
+        pairs = drop_pairs(bs, 1024, rng)
+        assert {bp.q is None for bp in pairs.per_box if len(bp) > 0} == {True, False}
+        before = len(tape())
+        loss = structured_consistency_box(s, g, bs, pairs)
+        ops = [node.op for node in tape().nodes[before:]]
+        backward(loss)
+        assert ops == ["structured_box"]
+
+    def test_every_box_sampled_is_zero_at_fixpoint(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            t = Tensor(rng.normal(size=(64, 64, 4)), requires_grad=True)
+            student = PredictionMap.from_logits(t)
+            bs = generate_boxes(rng, 64, 64, 32, n_box=16)
+            pairs = drop_pairs(bs, 1, rng)
+            assert all(bp.q is not None for bp in pairs.per_box if len(bp.region) > 1)
             loss = structured_consistency_box(student, student.detach(), bs, pairs)
             backward(loss)
             assert loss.item() == 0.0

@@ -16,7 +16,8 @@ FORMAT_TAG = "structseg-blob-v1"
 
 class CheckpointError(ValueError):
     """The file is not a readable structseg checkpoint (wrong format,
-    unparsable header, or tensors that do not fit the payload)."""
+    unparsable or incomplete header, tensors that do not fit the payload,
+    or tensors that do not fit the net the header describes)."""
 
 
 def write_blob(path, arrays: Dict[str, np.ndarray], meta: Optional[dict] = None) -> None:
@@ -54,14 +55,20 @@ def read_blob(path) -> Tuple[Dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: unreadable checkpoint header ({e})") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         raise CheckpointError(f"{path} is not a {FORMAT_TAG} file")
+    meta, entries = header.get("meta", {}), header.get("tensors")
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise CheckpointError(f"{path}: the header lacks its meta object or tensor list")
     arrays = {}
-    for entry in header["tensors"]:
-        n = entry["nbytes"]
-        off = entry["offset"]
-        if off < 0 or off + n > len(data):
+    for entry in entries:
+        try:
+            name, shape, n, off = (entry[k] for k in ("name", "shape", "nbytes", "offset"))
+            fits = 0 <= off <= off + n <= len(data)
+            arr = np.frombuffer(data[off:off + n], dtype="<f8").reshape(shape) if fits else None
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r} ({e})") from None
+        if arr is None:
             raise CheckpointError(
-                f"{path}: tensor {entry['name']} ({n} bytes at offset {off}) lies "
+                f"{path}: tensor {name} ({n} bytes at offset {off}) lies "
                 f"outside the {len(data)}-byte payload; is the file truncated?")
-        arr = np.frombuffer(data[off:off + n], dtype="<f8").reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(np.float64)
-    return arrays, header.get("meta", {})
+        arrays[name] = arr.astype(np.float64)
+    return arrays, meta

@@ -86,10 +86,10 @@ def resolve_config(args: argparse.Namespace, defaults: Optional[dict] = None) ->
                 base = json.load(f)
             except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
                 raise ConfigError(f"{args.config} is not valid JSON ({e})") from None
+        if isinstance(base, dict) and "config_hash" in base and "config" in base:
+            base = base["config"]  # a run manifest
         if not isinstance(base, dict):
-            raise ConfigError(f"{args.config} does not hold a JSON object")
-        if "config_hash" in base and "config" in base:
-            base = base["config"]
+            raise ConfigError(f"{args.config} does not hold a JSON config object")
     cfg = TrainConfig.from_dict({**(defaults or {}), **base})
     overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
                  if getattr(args, f.name) is not None}
@@ -234,11 +234,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     n_seeds, seed0 = _seed_range(args)
-    verification.CORRUPT_OP = args.corrupt_op
+    verification.CORRUPT_OP, verification.CORRUPTED_NODES = args.corrupt_op, 0
     try:
         report = run_gradcheck(n_seeds=n_seeds, seed0=seed0)
     finally:
         verification.CORRUPT_OP = None
+    if args.corrupt_op is not None and verification.CORRUPTED_NODES == 0:
+        raise UsageError(f"--corrupt-op: no checked loss records an op named {args.corrupt_op!r}")
     ok = True
     for name, err in report.items():
         status = "PASS" if err < GRAD_TOLERANCE else "FAIL"
@@ -261,6 +263,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_dump(args: argparse.Namespace) -> int:
     """With --checkpoint, the checkpoint's config is the base that --config
     and flags override, and they must keep the net it holds."""
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     net, meta = None, {}
     if args.checkpoint:
         net, _, meta = load_checkpoint(args.checkpoint)

@@ -3,12 +3,16 @@ branch, pixel-wise consistency against the guessed label, cosine-similarity
 structure matching over all pixel pairs (reference form, tiny images only)
 and its box-restricted form.
 
-The box-restricted loss is one hand-differentiated tape node. It
-row-normalizes the student's and the guessed probabilities once; boxes
-whose m*m ordered pairs all fit the pair budget add an exact per-box Gram
-term costing O(m*C^2), boxes with sampled pairs add their pairs' squared
-differences of dot products on the same unit rows, and one backward pass
-goes through the normalization for both.
+Each training loss is one hand-differentiated tape node (``relaxed_ce``,
+``consistency``, ``structured_box``) that computes its value and its
+gradient on the probabilities in numpy. The full-image reference is value
+only.
+
+The box-restricted loss row-normalizes the student's and the guessed
+probabilities once; boxes whose m*m ordered pairs all fit the pair budget
+add an exact per-box Gram term costing O(m*C^2), boxes with sampled pairs
+add their pairs' squared differences of dot products on the same unit
+rows, and one backward pass goes through the normalization for both.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import numpy as np
 
 from .cutmix import BoxSet, PairSet
 from .maps import IGNORE, PredictionMap, check_label_map
-from .tensor import (Tensor, clamp_min, custom_op, div, log, matmul, mul,
-                     reshape, scale, sqrt, square, sub, transpose, tsum)
+from .tensor import Tensor, custom_op
 
 logger = logging.getLogger(__name__)
 
@@ -60,15 +63,21 @@ def relaxed_cross_entropy(probs: PredictionMap, labels: np.ndarray, window: int)
         raise ValueError(
             f"relaxed_cross_entropy: labels {labels.shape} do not match "
             f"predictions {(probs.height, probs.width)}")
-    valid = labels != IGNORE
+    valid = (labels != IGNORE).astype(np.float64)
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("relaxed_cross_entropy: every pixel is ignored")
-    window_mask = Tensor(window_class_mask(labels, window, probs.num_classes))
-    in_window = tsum(mul(probs.probs, window_mask), axis=2)
-    per_pixel = log(clamp_min(in_window, LOG_FLOOR))
-    total = tsum(mul(per_pixel, Tensor(valid.astype(np.float64))))
-    return scale(total, -1.0 / n_valid)
+    mask = window_class_mask(labels, window, probs.num_classes)
+    s = -1.0 / n_valid
+    in_window = (probs.probs.data * mask).sum(axis=2)
+    clamped = np.maximum(in_window, LOG_FLOOR)
+
+    def grad_of(g):
+        # zero where the floor binds, as the clamp's derivative is
+        return (g * s * valid / clamped * (in_window > LOG_FLOOR))[:, :, None] * mask
+
+    value = (np.log(clamped) * valid).sum() * s
+    return custom_op("relaxed_ce", value, probs.probs, grad_of)
 
 
 def consistency_loss(student: PredictionMap, guessed: PredictionMap) -> Tensor:
@@ -78,22 +87,22 @@ def consistency_loss(student: PredictionMap, guessed: PredictionMap) -> Tensor:
         raise ValueError(f"consistency_loss: shapes {student.shape} and {guessed.shape} differ")
     if guessed.probs.requires_grad:
         raise ValueError("consistency_loss: guessed label must not carry gradient")
-    d = sub(student.probs, guessed.probs)
-    return scale(tsum(square(d)), 1.0 / (student.height * student.width))
+    d = student.probs.data - guessed.probs.data
+    c = 1.0 / (student.height * student.width)
+    return custom_op("consistency", (d * d).sum() * c, student.probs,
+                     lambda g: g * c * 2.0 * d)
 
 
-def _similarity_matrix(probs: Tensor) -> Tensor:
-    h, w, c = probs.data.shape
-    p = reshape(probs, (h * w, c))
-    norms = sqrt(tsum(square(p), axis=1, keepdims=True))
-    pn = div(p, norms)
-    return matmul(pn, transpose(pn))
+def _unit_rows(p: np.ndarray):
+    norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
+    return p / norms, norms
 
 
 def structured_consistency_full(student: PredictionMap, teacher: PredictionMap) -> Tensor:
     """All-pairs cosine-similarity matching over the whole image,
-    normalized by (H*W)^2. Quadratic cost; serves as the reference oracle
-    for the box-restricted form and is capped to tiny images."""
+    normalized by (H*W)^2. Quadratic cost and value only; serves as the
+    reference oracle for the box-restricted form and is capped to tiny
+    images."""
     if student.shape != teacher.shape:
         raise ValueError(
             f"structured_consistency_full: shapes {student.shape} and {teacher.shape} differ")
@@ -102,15 +111,11 @@ def structured_consistency_full(student: PredictionMap, teacher: PredictionMap) 
         raise ValueError(
             f"structured_consistency_full: {n_pixels} pixels exceeds the "
             f"cap of {FULL_PAIRWISE_PIXEL_CAP}")
-    a_s = _similarity_matrix(student.probs)
-    a_t = _similarity_matrix(teacher.probs.detach())
-    d = sub(a_s, a_t)
-    return scale(tsum(square(d)), 1.0 / (n_pixels * n_pixels))
-
-
-def _unit_rows(p: np.ndarray):
-    norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
-    return p / norms, norms
+    s_hat, _ = _unit_rows(student.probs.data.reshape(-1, student.num_classes))
+    t_hat, _ = _unit_rows(teacher.probs.data.reshape(-1, teacher.num_classes))
+    # .copy(): numpy sends q @ q.T to a symmetric-product BLAS kernel that rounds differently
+    d = s_hat @ s_hat.T.copy() - t_hat @ t_hat.T.copy()
+    return Tensor((d * d).sum() * (1.0 / (n_pixels * n_pixels)))
 
 
 def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,

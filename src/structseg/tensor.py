@@ -3,8 +3,10 @@
 Every operation that touches a gradient-tracking tensor is recorded on a
 global tape in execution order; ``backward`` replays the tape in exact
 reverse order, accumulating dLoss/dTensor into ``.grad`` buffers. The
-engine is deliberately small: just enough ops to train a fully
-convolutional segmentation net and differentiate the loss stack.
+engine is deliberately small: ``conv2d``, ``relu`` and ``softmax`` for the
+net, a same-shape ``add`` and a scalar ``scale`` for the weighted loss
+total, and ``custom_op``, which records a hand-differentiated node of one
+input. Each loss is one such node (see ``losses``).
 
 All data is 64-bit; shapes are static; execution is single-threaded and
 bit-deterministic for fixed inputs.
@@ -138,23 +140,19 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; a scalar factor folds into ``scale``, any other
-    # scalar operand becomes a constant tensor
+    # arithmetic sugar: ``+`` adds a same-shape tensor, ``*`` scales by a
+    # python number
     def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
         return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, other)
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        return scale(self, float(other))
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    __rmul__ = __mul__
 
 
 def _record(op: str, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -171,16 +169,6 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = np.array(np.broadcast_to(g, t.data.shape))
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to ``shape``, inverting numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
 
 
 def backward(loss: Tensor) -> None:
@@ -203,54 +191,20 @@ def backward(loss: Tensor) -> None:
     _TAPE.clear()
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
 # ---------------------------------------------------------------------------
-# elementwise and structural ops
+# ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _check_broadcast("add", a, b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"add: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _record("add", out, (a, b), bwd)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _check_broadcast("sub", a, b)
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _record("sub", out, (a, b), bwd)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; a python scalar operand is a scalar-multiply."""
-    if isinstance(b, (int, float)):
-        return scale(a, float(b))
-    b = _as_tensor(b)
-    _check_broadcast("mul", a, b)
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _record("mul", out, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -258,99 +212,10 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _record("scale", out, (a,), lambda g: _accum(a, g * s))
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b)
-    _check_broadcast("div", a, b)
-    out = Tensor(a.data / b.data)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _record("div", out, (a, b), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _record("matmul", out, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose: expects 2-D, got {a.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record("transpose", out, (a,), lambda g: _accum(a, g.T))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    orig = a.data.shape
-    return _record("reshape", out, (a,), lambda g: _accum(a, g.reshape(orig)))
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     mask = a.data > 0.0
     return _record("relu", out, (a,), lambda g: _accum(a, g * mask))
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record("log", out, (a,), lambda g: _accum(a, g / a.data))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
-
-    def bwd(g):
-        _accum(a, g / (2.0 * out.data))
-
-    return _record("sqrt", out, (a,), bwd)
-
-
-def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    return _record("square", out, (a,), lambda g: _accum(a, g * 2.0 * a.data))
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor) elementwise; gradient is zero where the clamp binds."""
-    out = Tensor(np.maximum(a.data, floor))
-    mask = a.data > floor
-    return _record("clamp_min", out, (a,), lambda g: _accum(a, g * mask))
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-    shape = a.data.shape
-
-    def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, shape).copy() if np.ndim(g) else np.full(shape, g))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, shape))
-
-    return _record("sum", out, (a,), bwd)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

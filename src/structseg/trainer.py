@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checkpoint
+from .checkpoint import CheckpointError
 from .cutmix import compose_image, compose_predictions, drop_pairs, generate_boxes
 from .ema import EmaState, ema_init, ema_update
 from .losses import (PredictionMap, consistency_loss, relaxed_cross_entropy,
@@ -393,14 +394,31 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
 
 def load_checkpoint(path) -> Tuple[SegNet, EmaState, dict]:
+    """Raises CheckpointError unless the header holds what ``save_checkpoint``
+    writes, its config describes its net, and each tensor has the shape of
+    that net's."""
     arrays, meta = checkpoint.read_blob(path)
-    # a throwaway init supplies the parameter names; every value is replaced
-    net = init_segnet(np.random.default_rng(0),
-                      SegNetDescriptor.from_dict(meta["descriptor"]))
+    try:
+        # a throwaway init supplies the parameter names and shapes; every
+        # value is replaced
+        net = init_segnet(np.random.default_rng(0),
+                          SegNetDescriptor.from_dict(meta["descriptor"]))
+        decay, ema_steps = float(meta["ema_decay"]), int(meta.get("ema_steps", 0))
+        config = TrainConfig.from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: no usable net descriptor, EMA decay and "
+                              f"config in the header ({e!r})") from None
+    if config.model_descriptor() != net.descriptor:
+        raise CheckpointError(f"{path}: the config describes the net "
+                              f"{config.model_descriptor()}, the descriptor {net.descriptor}")
     teacher_params = []
     for name, p in net.named_params():
+        for key in (f"student/{name}", f"teacher/{name}"):
+            if key not in arrays or arrays[key].shape != p.data.shape:
+                found = f"of shape {arrays[key].shape}" if key in arrays else "missing"
+                raise CheckpointError(
+                    f"{path}: tensor {key} is {found}; the net needs {p.data.shape}")
         p.data = arrays[f"student/{name}"]
         teacher_params.append(Tensor(arrays[f"teacher/{name}"]))
-    ema_state = EmaState(decay=float(meta["ema_decay"]), teacher_params=teacher_params,
-                         step_count=int(meta.get("ema_steps", 0)))
+    ema_state = EmaState(decay=decay, teacher_params=teacher_params, step_count=ema_steps)
     return net, ema_state, meta

@@ -24,8 +24,10 @@ GRAD_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-10
 
 # Negative control for gradient checking: the recorded backward rule of
-# every op with this name scales its incoming gradient by 1.01.
+# every op with this name scales its incoming gradient by 1.01;
+# CORRUPTED_NODES counts the nodes it reached.
 CORRUPT_OP: Optional[str] = None
+CORRUPTED_NODES = 0
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -67,10 +69,12 @@ def _random_probs(rng: np.random.Generator, shape) -> PredictionMap:
 
 def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
                      logits0: np.ndarray) -> float:
+    global CORRUPTED_NODES
     t = Tensor(logits0, requires_grad=True)
     loss = loss_of_logits(t)
     for node in tape().nodes:
         if node.op == CORRUPT_OP:
+            CORRUPTED_NODES += 1
             node.backward = lambda g, inner=node.backward: inner(g * 1.01)
     backward(loss)
     analytic = t.grad.copy()

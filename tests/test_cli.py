@@ -26,6 +26,25 @@ def tiny_config(tmp_path):
     return path
 
 
+def _narrow_first_layer(header, entries):
+    """The descriptor and the config agree on a net whose first layer is
+    narrower than the stored tensors."""
+    header["meta"]["descriptor"]["widths"][0] = 5
+    header["meta"]["config"]["model_widths"][0] = 5
+
+
+# header edits that leave it parseable: (header, entries by name) -> None
+HEADER_EDITS = {
+    "missing-tensor": lambda h, e: h["tensors"].remove(e["student/conv0.kernel"]),
+    "shape-vs-nbytes": lambda h, e: e["teacher/conv1.bias"].update(shape=[2]),
+    "no-descriptor": lambda h, e: h["meta"].pop("descriptor"),
+    "no-tensor-list": lambda h, e: h.pop("tensors"),
+    "flat-kernel": lambda h, e: e["student/conv0.kernel"].update(shape=[3 * 3 * 3 * 6]),
+    "descriptor-widths": _narrow_first_layer,
+    "config-net": lambda h, e: h["meta"]["config"].update(num_classes=4),
+}
+
+
 def _train(tmp_path, tiny_config, out_name, *extra):
     out = tmp_path / out_name
     code = main(["train", "--config", str(tiny_config), "--out-dir", str(out), *extra])
@@ -177,6 +196,16 @@ class TestGradcheck:
         assert sorted(line.split(":")[0] for line in lines if "FAIL" in line) == [
             "structured_box", "structured_exact", "structured_sampled"]
 
+    @pytest.mark.parametrize("op,legs", [
+        ("relaxed_ce", ["relaxed_ce_w1", "relaxed_ce_w3"]),
+        ("consistency", ["consistency"]),
+    ])
+    def test_corrupted_loss_node_fails_its_legs(self, capsys, op, legs):
+        code = main(["gradcheck", "--seeds-count", "2", "--corrupt-op", op])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        assert sorted(line.split(":")[0] for line in lines if "FAIL" in line) == legs
+
     def test_constant_loss_seed_passes(self, capsys):
         # every 3x3 label window of seed 2984 holds every class, so the
         # window-3 loss is constant and both gradients are rounding noise
@@ -242,7 +271,8 @@ class TestUsage:
         assert len(err) == 3 and all(missing in line for line in err)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", ['{"epochs": 1,', "1", "null"])
+    @pytest.mark.parametrize("text", ['{"epochs": 1,', "1", "null",
+                                      '{"config_hash": "x", "config": [1, 2]}'])
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -252,12 +282,20 @@ class TestUsage:
         assert len(err) == 2 and all(line.startswith("config error:") for line in err)
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
-    @pytest.mark.parametrize("cut", ["header", "payload"])
+    @pytest.mark.parametrize("cut", ["header", "payload", *HEADER_EDITS])
     def test_truncated_checkpoint_exits_2(self, tmp_path, tiny_config, capsys, cut):
+        """A cut file, or a header that parses but does not describe the
+        tensors the net needs, exits 2 with one line and writes nothing."""
         _, run = _train(tmp_path, tiny_config, "run")
         blob = (run / "checkpoint.bin").read_bytes()
         short = tmp_path / "short.bin"
-        short.write_bytes(blob[:200] if cut == "header" else blob[:-8])
+        if cut in HEADER_EDITS:
+            line, payload = blob.split(b"\n", 1)
+            header = json.loads(line)
+            HEADER_EDITS[cut](header, {e["name"]: e for e in header["tensors"]})
+            short.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        else:
+            short.write_bytes(blob[:200] if cut == "header" else blob[:-8])
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(short)]) == 2
         assert main(["dump", "--checkpoint", str(short), "--out-dir", str(tmp_path / "d")]) == 2
@@ -293,7 +331,11 @@ class TestUsage:
         ["gradcheck", "--seeds-count", "0"],
         ["oracle", "--seeds-count", "0"],
         ["ablate", "--seeds", "0,1,x", "--out-dir", "out"],
-    ], ids=["gradcheck", "oracle", "ablate"])
+        ["gradcheck", "--seeds-count", "1", "--corrupt-op", "nosuchop"],
+        ["gradcheck", "--seeds-count", "1", "--corrupt-op", "log"],
+        ["dump", "--count", "-1", "--out-dir", "out"],
+    ], ids=["gradcheck", "oracle", "ablate", "corrupt-op-unknown", "corrupt-op-gone",
+            "dump-count"])
     def test_bad_subcommand_arguments_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2

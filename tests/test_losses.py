@@ -433,17 +433,24 @@ class TestStructuredPaths:
             assert np.all(t.grad == 0.0)
 
     def test_mixed_box_set_is_one_node(self):
+        """Each loss, the structured one on a mixed box set included, is
+        one tape node."""
         rng = np.random.default_rng(3)
         s, _ = _probs_grad(rng, (64, 64, 4))
         g = _probs(rng, (64, 64, 4))
         bs = generate_boxes(rng, 64, 64, 32, n_box=16)
         pairs = drop_pairs(bs, 1024, rng)
         assert {bp.q is None for bp in pairs.per_box if len(bp) > 0} == {True, False}
-        before = len(tape())
-        loss = structured_consistency_box(s, g, bs, pairs)
-        ops = [node.op for node in tape().nodes[before:]]
-        backward(loss)
-        assert ops == ["structured_box"]
+        labels = rng.integers(0, 4, size=(64, 64))
+        ops = []
+        for loss_of in (lambda: relaxed_cross_entropy(s, labels, 3),
+                        lambda: consistency_loss(s, g),
+                        lambda: structured_consistency_box(s, g, bs, pairs)):
+            before = len(tape())
+            loss = loss_of()
+            ops.append([node.op for node in tape().nodes[before:]])
+            backward(loss)
+        assert ops == [["relaxed_ce"], ["consistency"], ["structured_box"]]
 
     def test_every_box_sampled_is_zero_at_fixpoint(self):
         for seed in range(5):

@@ -1,5 +1,6 @@
 """Engine tests: op semantics, tape behavior, and finite-difference
-gradient checks for every differentiable op."""
+gradient checks for every differentiable op. Losses are test-local
+sum-of-squares nodes (``tape_helpers``)."""
 
 import os
 import platform
@@ -11,11 +12,10 @@ import numpy as np
 import pytest
 
 import structseg
-from structseg.tensor import (Tensor, add, backward, clamp_min, conv2d, div,
-                              log, matmul, mul, no_grad, relu, reshape, scale,
-                              softmax, sqrt, square, sub, tape,
-                              tmean, transpose, tsum)
+from structseg.tensor import (Tensor, add, backward, conv2d, no_grad, relu, scale,
+                              softmax, tape)
 from structseg.verification import max_rel_error, numerical_gradient
+from tape_helpers import sum_of_squares
 
 SEEDS = range(20)
 
@@ -57,27 +57,38 @@ class TestForwardExamples:
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(ValueError, match=r"add.*\(2, 3\).*\(4, 5\)"):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-        with pytest.raises(ValueError, match="matmul"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(ValueError, match=r"add.*\(2, 3\).*\(3,\)"):
+            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))  # no broadcasting
         with pytest.raises(ValueError, match="conv2d"):
             conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 8))))
+
+    def test_operators_take_numbers_to_scale_and_tensors_to_add(self):
+        x = Tensor([1.0, -2.0])
+        np.testing.assert_array_equal((2 * x).data, [2.0, -4.0])
+        np.testing.assert_array_equal((x * 0.5 + x).data, [1.5, -3.0])
+        for bad in (lambda: x * x, lambda: x + 1.0, lambda: 1.0 + x):
+            with pytest.raises(TypeError):
+                bad()
 
 
 class TestBackwardExamples:
     def test_sum_grad_is_ones(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 2)), requires_grad=True)
-        backward(tsum(x))
+        # backward seeds dL/dL = 1, and d(|x|^2 / 2)/dx = x is ones at x = 1
+        x = Tensor(np.ones((3, 4, 2)), requires_grad=True)
+        loss = 0.5 * sum_of_squares(x)
+        backward(loss)
+        assert loss.grad == 1.0
         np.testing.assert_array_equal(x.grad, np.ones((3, 4, 2)))
 
     def test_square_sum_grad(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        backward(tsum(mul(x, x)))
+        backward(sum_of_squares(x))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_errors(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            backward(mul(x, x))
+            backward(relu(x))
 
     def test_mean_squared_softmax_difference_matches_fd(self):
         rng = np.random.default_rng(7)
@@ -85,30 +96,29 @@ class TestBackwardExamples:
         y0 = rng.normal(size=(4, 4, 3))
 
         def loss_of(x):
-            d = sub(softmax(Tensor(x)), softmax(Tensor(y0)))
-            return tmean(square(d))
+            d = softmax(x) + -1.0 * softmax(Tensor(y0))
+            return sum_of_squares(d) * (1.0 / d.data.size)
 
         xt = Tensor(x0, requires_grad=True)
-        d = sub(softmax(xt), softmax(Tensor(y0)))
-        backward(tmean(square(d)))
-        err = max_rel_error(xt.grad, numerical_gradient(lambda x: loss_of(x).item(), x0))
+        backward(loss_of(xt))
+        err = max_rel_error(xt.grad, numerical_gradient(lambda x: loss_of(Tensor(x)).item(), x0))
         assert err < 1e-4
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor([2.0], requires_grad=True)
-        backward(tsum(add(mul(x, x), x)))  # d/dx (x^2 + x) = 2x + 1
-        np.testing.assert_allclose(x.grad, [5.0])
+        backward(sum_of_squares(x + x))  # d/dx (2x)^2 = 8x
+        np.testing.assert_array_equal(x.grad, [16.0])
 
 
 class TestTape:
     def test_no_recording_without_requires_grad(self):
         tape().clear()
-        mul(Tensor([1.0]), Tensor([2.0]))
+        add(Tensor([1.0]), Tensor([2.0]))
         assert len(tape()) == 0
 
     def test_tape_cleared_after_backward(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = tsum(square(x))
+        loss = sum_of_squares(x)
         assert len(tape()) > 0
         backward(loss)
         assert len(tape()) == 0
@@ -117,22 +127,18 @@ class TestTape:
         tape().clear()
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = square(x)
+            y = relu(x)
         assert len(tape()) == 0
         assert not y.requires_grad
 
     def test_inputs_recorded_before_consumers(self):
         tape().clear()
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = square(x)
-        z = tsum(y)
+        y = relu(x)
+        z = sum_of_squares(y)
         ids = [id(node.out) for node in tape().nodes]
         assert ids.index(id(y)) < ids.index(id(z))
         backward(z)
-
-
-def _positive(rng, shape):
-    return rng.uniform(0.2, 3.0, size=shape)
 
 
 def _away_from_zero(rng, shape):
@@ -143,15 +149,8 @@ def _away_from_zero(rng, shape):
 # (name, builder(tensors) -> Tensor, input makers)
 UNARY_CASES = [
     ("relu", lambda t: relu(t), _away_from_zero),
-    ("log", lambda t: log(t), _positive),
-    ("sqrt", lambda t: sqrt(t), _positive),
-    ("square", lambda t: square(t), _away_from_zero),
-    ("clamp_min", lambda t: clamp_min(t, 0.1), lambda rng, s: _positive(rng, s) + 0.2),
     ("softmax", lambda t: softmax(t), _away_from_zero),
     ("scale", lambda t: scale(t, -2.5), _away_from_zero),
-    ("reshape", lambda t: reshape(t, (-1,)), _away_from_zero),
-    ("sum_axis", lambda t: tsum(t, axis=1), _away_from_zero),
-    ("mean", lambda t: tmean(t), _away_from_zero),
 ]
 
 
@@ -161,50 +160,24 @@ def test_unary_op_gradients(name, builder, make):
         rng = np.random.default_rng(seed)
         x0 = make(rng, (3, 4, 2))
         t = Tensor(x0, requires_grad=True)
-        backward(tsum(square(builder(t))))
+        backward(sum_of_squares(builder(t)))
         analytic = t.grad
 
         def f(x):
-            return tsum(square(builder(Tensor(x)))).item()
+            return sum_of_squares(builder(Tensor(x))).item()
 
         assert max_rel_error(analytic, numerical_gradient(f, x0)) < 1e-4, f"{name} seed {seed}"
 
 
-BINARY_CASES = [
-    ("add", add, None),
-    ("sub", sub, None),
-    ("mul", mul, None),
-    ("div", div, _positive),
-]
-
-
-@pytest.mark.parametrize("name,op,make_b", BINARY_CASES)
-@pytest.mark.parametrize("shape_b", [(3, 4), (3, 1), (4,)])
-def test_binary_op_gradients_with_broadcast(name, op, make_b, shape_b):
+def test_add_gradients():
     for seed in range(7):
         rng = np.random.default_rng(seed)
-        a0 = rng.normal(size=(3, 4))
-        b0 = (make_b or (lambda r, s: r.normal(size=s)))(rng, shape_b)
+        a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         ta = Tensor(a0, requires_grad=True)
         tb = Tensor(b0, requires_grad=True)
-        backward(tsum(square(op(ta, tb))))
-        ga, gb = ta.grad, tb.grad
-        fa = lambda x: tsum(square(op(Tensor(x), Tensor(b0)))).item()
-        fb = lambda x: tsum(square(op(Tensor(a0), Tensor(x)))).item()
-        assert max_rel_error(ga, numerical_gradient(fa, a0)) < 1e-4, f"{name} lhs"
-        assert max_rel_error(gb, numerical_gradient(fb, b0)) < 1e-4, f"{name} rhs"
-
-
-def test_matmul_and_transpose_gradients():
-    for seed in SEEDS:
-        rng = np.random.default_rng(seed)
-        a0 = rng.normal(size=(3, 4))
-        b0 = rng.normal(size=(4, 2))
-        ta = Tensor(a0, requires_grad=True)
-        tb = Tensor(b0, requires_grad=True)
-        backward(tsum(square(matmul(transpose(transpose(ta)), tb))))
-        fa = lambda x: tsum(square(matmul(Tensor(x), Tensor(b0)))).item()
-        fb = lambda x: tsum(square(matmul(Tensor(a0), Tensor(x)))).item()
+        backward(sum_of_squares(add(ta, tb)))
+        fa = lambda x: sum_of_squares(add(Tensor(x), Tensor(b0))).item()
+        fb = lambda x: sum_of_squares(add(Tensor(a0), Tensor(x))).item()
         assert max_rel_error(ta.grad, numerical_gradient(fa, a0)) < 1e-4
         assert max_rel_error(tb.grad, numerical_gradient(fb, b0)) < 1e-4
 
@@ -219,10 +192,10 @@ def test_conv2d_gradients(padding):
         b0 = rng.normal(size=4)
 
         def build(x, k, b):
-            return tsum(square(conv2d(Tensor(x) if not isinstance(x, Tensor) else x,
-                                      Tensor(k) if not isinstance(k, Tensor) else k,
-                                      Tensor(b) if not isinstance(b, Tensor) else b,
-                                      padding=padding)))
+            return sum_of_squares(conv2d(Tensor(x) if not isinstance(x, Tensor) else x,
+                                         Tensor(k) if not isinstance(k, Tensor) else k,
+                                         Tensor(b) if not isinstance(b, Tensor) else b,
+                                         padding=padding))
 
         tx = Tensor(x0, requires_grad=True)
         tk = Tensor(k0, requires_grad=True)
@@ -262,8 +235,8 @@ def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
     x = Tensor(x0, requires_grad=True)
     k = Tensor(k0, requires_grad=True)
     out = conv2d(x, k, padding=padding)
-    g = rng.normal(size=out.shape)
-    backward(tsum(mul(out, Tensor(g))))
+    backward(sum_of_squares(out))
+    g = 2.0 * out.data  # the output's gradient
 
     xp = np.pad(x0, ((padding, padding), (padding, padding), (0, 0)))
     oh, ow = out.shape[:2]
@@ -292,7 +265,7 @@ def test_determinism_bit_identical():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
-        loss = tsum(square(softmax(conv2d(x, k, padding=1))))
+        loss = sum_of_squares(softmax(conv2d(x, k, padding=1)))
         backward(loss)
         return loss.data.copy(), x.grad.copy(), k.grad.copy()
 
@@ -307,7 +280,7 @@ def test_detach_blocks_gradient():
     x = Tensor([3.0], requires_grad=True)
     y = x.detach()
     assert not y.requires_grad
-    loss = tsum(mul(y, y))
+    loss = sum_of_squares(y)
     backward(loss)
     assert x.grad is None
 

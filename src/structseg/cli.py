@@ -32,10 +32,11 @@ from . import verification
 from .checkpoint import CheckpointError
 from .cutmix import generate_boxes, compose_image
 from .synthdata import save_pgm, save_ppm
-from .tensor import HEAP_KEEPS_FREED_BLOCKS, NonFiniteError, no_grad
-from .trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS, StepRecord,
-                      TrainConfig, Trainer, ablation_csv_rows, load_checkpoint,
-                      run_ablation, save_checkpoint)
+from .tensor import HEAP_KEEPS_FREED_BLOCKS, NonFiniteError
+from .trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS, Evaluation, StepRecord,
+                      TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
+                      load_checkpoint, run_ablation, save_checkpoint,
+                      validation_predictions)
 from .verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE,
                            pair_reduction_report, run_gradcheck, run_oracle)
 
@@ -90,12 +91,9 @@ def resolve_config(args: argparse.Namespace, defaults: Optional[dict] = None) ->
             base = base["config"]  # a run manifest
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config} does not hold a JSON config object")
-    cfg = TrainConfig.from_dict({**(defaults or {}), **base})
     overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
                  if getattr(args, f.name) is not None}
-    if overrides:
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), **overrides})
-    return cfg
+    return TrainConfig.from_dict({**(defaults or {}), **base, **overrides})
 
 
 def _environment() -> dict:
@@ -123,8 +121,8 @@ def _metrics_row(rec: StepRecord) -> str:
     return ",".join([str(rec.step)] + vals)
 
 
-def _eval_row(step: int, variant: str, per_class, miou_val: float) -> str:
-    return ",".join([str(step), variant] + [repr(v) for v in per_class] + [repr(miou_val)])
+def _eval_row(step: int, ev: Evaluation) -> str:
+    return ",".join([str(step), ev.variant] + [repr(v) for v in ev.per_class] + [repr(ev.miou)])
 
 
 def _eval_header(num_classes: int) -> str:
@@ -151,16 +149,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             mf.write(_metrics_row(rec) + "\n")
             step_no = rec.step + 1
             if cfg.eval_every and step_no % cfg.eval_every == 0 and step_no < trainer.max_steps:
-                per_class, m = trainer.evaluate()
-                ef.write(_eval_row(rec.step, "ema" if cfg.ema_eval else "student",
-                                   per_class, m) + "\n")
+                ef.write(_eval_row(rec.step, trainer.evaluate()) + "\n")
             if cfg.checkpoint_every and step_no % cfg.checkpoint_every == 0:
                 save_checkpoint(out_dir / f"checkpoint-step{step_no}.bin", trainer)
 
         trainer.run(on_step=on_step)
-        per_class, m = trainer.evaluate()
-        ef.write(_eval_row(trainer.step_index, "ema" if cfg.ema_eval else "student",
-                           per_class, m) + "\n")
+        final = trainer.evaluate()
+        ef.write(_eval_row(trainer.step_index, final) + "\n")
 
     save_checkpoint(ckpt_path, trainer)
     manifest = {
@@ -174,26 +169,22 @@ def cmd_train(args: argparse.Namespace) -> int:
             "eval": eval_path.name,
             "checkpoint": ckpt_path.name,
         },
-        "final_miou": m,
+        "final_miou": final.miou,
         "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
     }
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
-    print(f"final mIoU {m:.4f} (run dir: {out_dir})")
+    print(f"final mIoU {final.miou:.4f} (run dir: {out_dir})")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     net, ema_state, meta = load_checkpoint(args.checkpoint)
-    cfg = TrainConfig.from_dict(meta["config"])
-    trainer = Trainer(cfg)
-    trainer.student = net
-    trainer.ema = ema_state
-    per_class, m = trainer.evaluate()
+    cfg = meta["config"]
+    ev = evaluate_net(net, ema_state, cfg, cfg.make_dataset())
     print(_eval_header(cfg.num_classes))
-    print(_eval_row(int(meta.get("step", 0)), "ema" if cfg.ema_eval else "student",
-                    per_class, m))
+    print(_eval_row(meta["step"], ev))
     return 0
 
 
@@ -262,13 +253,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     """With --checkpoint, the checkpoint's config is the base that --config
-    and flags override, and they must keep the net it holds."""
+    and flags override, they must keep the net it holds, and the predicted
+    masks come from the weights ``evaluate`` scores."""
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
-    net, meta = None, {}
+    net, ema_state, defaults = None, None, None
     if args.checkpoint:
-        net, _, meta = load_checkpoint(args.checkpoint)
-    cfg = resolve_config(args, meta.get("config"))
+        net, ema_state, meta = load_checkpoint(args.checkpoint)
+        defaults = meta["config"].to_dict()
+    cfg = resolve_config(args, defaults)
     if net is not None and cfg.model_descriptor() != net.descriptor:
         raise ConfigError(f"the config describes the net {cfg.model_descriptor()}, "
                           f"but the checkpoint holds {net.descriptor}")
@@ -289,12 +282,10 @@ def cmd_dump(args: argparse.Namespace) -> int:
     save_pgm(out_dir / "cutmix-mask.pgm", boxset.mask.astype(np.int64), 2)
     (out_dir / "cutmix-boxes.json").write_text(boxset.to_json())
     if net is not None:
-        with no_grad():
-            for i in range(min(args.count, cfg.n_validation)):
-                scene = ds.validation(i)
-                pred = np.argmax(net.forward(scene.image).data, axis=2)
-                save_pgm(out_dir / f"val{i}-pred.pgm", pred, cfg.num_classes)
-                save_pgm(out_dir / f"val{i}-truth.pgm", scene.labels, cfg.num_classes)
+        count = min(args.count, cfg.n_validation)
+        for i, (scene, pred) in enumerate(validation_predictions(net, ema_state, cfg, ds, count)):
+            save_pgm(out_dir / f"val{i}-pred.pgm", pred, cfg.num_classes)
+            save_pgm(out_dir / f"val{i}-truth.pgm", scene.labels, cfg.num_classes)
     print(f"wrote dumps to {out_dir}")
     return 0
 

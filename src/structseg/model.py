@@ -7,7 +7,8 @@ size. Desk scale is enforced with a hard parameter-count cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -39,42 +40,25 @@ class SegNetDescriptor:
     @property
     def param_count(self) -> int:
         """Kernel and bias entries of the net this descriptor builds."""
-        k2 = self.kernel_size ** 2
-        cins = (self.in_channels,) + tuple(self.widths[:-1])
-        return sum(k2 * cin * cout + cout for cin, cout in zip(cins, self.widths))
+        return sum(math.prod(shape) for _, shape in self.param_shapes())
+
+    def param_shapes(self):
+        """(name, shape) of each parameter, in ``SegNet.params`` order."""
+        k, cin = self.kernel_size, self.in_channels
+        for i, cout in enumerate(self.widths):
+            yield f"conv{i}.kernel", (k, k, cin, cout)
+            yield f"conv{i}.bias", (cout,)
+            cin = cout
 
     @property
     def num_classes(self) -> int:
         return self.widths[-1]
 
-    def to_dict(self) -> dict:
-        return {"in_channels": self.in_channels, "widths": list(self.widths),
-                "kernel_size": self.kernel_size}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SegNetDescriptor":
-        return cls(in_channels=int(d["in_channels"]), widths=tuple(d["widths"]),
-                   kernel_size=int(d["kernel_size"]))
-
 
 @dataclass
 class SegNet:
     descriptor: SegNetDescriptor
-    kernels: List[Tensor] = field(default_factory=list)
-    biases: List[Tensor] = field(default_factory=list)
-
-    @property
-    def params(self) -> List[Tensor]:
-        out = []
-        for k, b in zip(self.kernels, self.biases):
-            out.append(k)
-            out.append(b)
-        return out
-
-    def named_params(self):
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            yield f"conv{i}.kernel", k
-            yield f"conv{i}.bias", b
+    params: List[Tensor]  # in ``descriptor.param_shapes()`` order
 
     def forward(self, image: Union[Tensor, np.ndarray],
                 params: Optional[Sequence[Tensor]] = None) -> Tensor:
@@ -85,14 +69,10 @@ class SegNet:
         if x.data.ndim != 3 or x.data.shape[2] != self.descriptor.in_channels:
             raise ValueError(
                 f"forward: expected (H,W,{self.descriptor.in_channels}) image, got {x.shape}")
-        if params is None:
-            kernels, biases = self.kernels, self.biases
-        else:
-            params = list(params)
-            kernels, biases = params[0::2], params[1::2]
+        params = self.params if params is None else list(params)
         pad = self.descriptor.kernel_size // 2
-        n_layers = len(kernels)
-        for i, (k, b) in enumerate(zip(kernels, biases)):
+        n_layers = len(params) // 2
+        for i, (k, b) in enumerate(zip(params[0::2], params[1::2])):
             x = conv2d(x, k, b, padding=pad)
             if i < n_layers - 1:
                 x = relu(x)
@@ -102,14 +82,11 @@ class SegNet:
 def init_segnet(rng: np.random.Generator, descriptor: SegNetDescriptor) -> SegNet:
     """Kaiming-style fan-in scaled kernels, zero biases, seed-deterministic."""
     descriptor.validate()
-    net = SegNet(descriptor=descriptor)
-    k = descriptor.kernel_size
-    cin = descriptor.in_channels
-    for cout in descriptor.widths:
-        fan_in = k * k * cin
-        std = np.sqrt(2.0 / fan_in)
-        kernel = rng.normal(0.0, std, size=(k, k, cin, cout))
-        net.kernels.append(Tensor(kernel, requires_grad=True))
-        net.biases.append(Tensor(np.zeros(cout), requires_grad=True))
-        cin = cout
-    return net
+    params = []
+    for _, shape in descriptor.param_shapes():
+        if len(shape) == 4:  # a (k, k, c_in, c_out) kernel, fan-in k*k*c_in
+            value = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[:-1])), size=shape)
+        else:
+            value = np.zeros(shape)
+        params.append(Tensor(value, requires_grad=True))
+    return SegNet(descriptor, params)

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .losses import (PredictionMap, consistency_loss, relaxed_cross_entropy,
 from .metrics import ConfusionMatrix, miou
 from .model import SegNet, SegNetDescriptor, init_segnet
 from .optim import make_velocity, poly_lr, sgd_step
-from .synthdata import SceneDataset, augment_pair
+from .synthdata import SceneDataset, SceneSample, augment_pair
 from .tensor import NonFiniteError, Tensor, backward, no_grad, parameters_finite, tape
 
 
@@ -201,6 +201,39 @@ EMA_VARIANTS: Dict[str, dict] = {
 }
 
 
+class Evaluation(NamedTuple):
+    """Validation IoU and the weights scored (``ema`` or ``student``)."""
+    per_class: List[float]
+    miou: float
+    variant: str
+
+
+def validation_predictions(net: SegNet, ema: EmaState, config: TrainConfig,
+                           dataset: SceneDataset,
+                           count: int) -> Iterator[Tuple[SceneSample, np.ndarray]]:
+    """The first ``count`` validation scenes and their argmax labels under
+    the weights evaluation scores: the EMA teacher's when
+    ``config.ema_eval``, else the student's."""
+    params = ema.teacher_params if config.ema_eval else None
+    for i in range(count):
+        scene = dataset.validation(i)
+        with no_grad():
+            logits = net.forward(scene.image, params=params)
+        yield scene, np.argmax(logits.data, axis=2)
+
+
+def evaluate_net(net: SegNet, ema: EmaState, config: TrainConfig,
+                 dataset: SceneDataset) -> Evaluation:
+    """Per-class IoU and mIoU on the validation split; the one scoring path
+    of ``train``, ``evaluate`` and ablations."""
+    cm = ConfusionMatrix(config.num_classes)
+    for scene, pred in validation_predictions(net, ema, config, dataset,
+                                              config.n_validation):
+        cm.accumulate(pred, scene.labels)
+    per_class, m = miou(cm)
+    return Evaluation(per_class, m, "ema" if config.ema_eval else "student")
+
+
 class LossBreakdown(NamedTuple):
     """One step's loss values in metrics.csv column order; l_tot is the
     graph loss the backward pass starts from."""
@@ -324,19 +357,8 @@ class Trainer:
         return rec
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate(self, use_ema: Optional[bool] = None) -> Tuple[List[float], float]:
-        """Per-class IoU and mIoU on the validation split, with either the
-        student weights or the EMA weights per the eval switch."""
-        if use_ema is None:
-            use_ema = self.config.ema_eval
-        params = self.ema.teacher_params if use_ema else None
-        cm = ConfusionMatrix(self.config.num_classes)
-        with no_grad():
-            for i in range(self.config.n_validation):
-                scene = self.dataset.validation(i)
-                logits = self.student.forward(scene.image, params=params)
-                cm.accumulate(np.argmax(logits.data, axis=2), scene.labels)
-        return miou(cm)
+    def evaluate(self) -> Evaluation:
+        return evaluate_net(self.student, self.ema, self.config, self.dataset)
 
     def run(self, on_step: Optional[Callable[[StepRecord], None]] = None) -> List[StepRecord]:
         records = []
@@ -361,8 +383,7 @@ def run_ablation(config_base: TrainConfig, variants: Dict[str, dict],
             cfg = replace(config_base, seed=seed, **overrides)
             tr = Trainer(cfg)
             tr.run()
-            _, score = tr.evaluate()
-            scores.append(score)
+            scores.append(tr.evaluate().miou)
         rows.append((name, float(np.mean(scores)), scores))
     return rows
 
@@ -377,48 +398,45 @@ def ablation_csv_rows(rows: List[Tuple[str, float, List[float]]]) -> List[str]:
 
 
 def save_checkpoint(path, trainer: Trainer) -> None:
-    """Student and teacher weights in one blob, architecture in the header."""
+    """Student and teacher weights in one blob; the header's config
+    describes the net."""
     arrays = {}
-    for name, p in trainer.student.named_params():
-        arrays[f"student/{name}"] = p.data
-    for (name, _), t in zip(trainer.student.named_params(), trainer.ema.teacher_params):
-        arrays[f"teacher/{name}"] = t.data
+    for role, params in (("student", trainer.student.params),
+                         ("teacher", trainer.ema.teacher_params)):
+        for (name, _), p in zip(trainer.student.descriptor.param_shapes(), params):
+            arrays[f"{role}/{name}"] = p.data
     meta = {
-        "descriptor": trainer.config.model_descriptor().to_dict(),
-        "step": trainer.step_index,
-        "ema_decay": trainer.config.ema_decay,
-        "ema_steps": trainer.ema.step_count,
         "config": trainer.config.to_dict(),
+        "step": trainer.step_index,
+        "ema_steps": trainer.ema.step_count,
     }
     checkpoint.write_blob(path, arrays, meta=meta)
 
 
 def load_checkpoint(path) -> Tuple[SegNet, EmaState, dict]:
-    """Raises CheckpointError unless the header holds what ``save_checkpoint``
-    writes, its config describes its net, and each tensor has the shape of
-    that net's."""
+    """The student net, the EMA state and ``{"config": TrainConfig, "step":
+    int}``. Raises CheckpointError unless the header's config is valid, its
+    step counts are integers >= 0 and each tensor has the shape of the
+    config's net; older headers' ``descriptor`` and ``ema_decay`` are unread."""
     arrays, meta = checkpoint.read_blob(path)
     try:
-        # a throwaway init supplies the parameter names and shapes; every
-        # value is replaced
-        net = init_segnet(np.random.default_rng(0),
-                          SegNetDescriptor.from_dict(meta["descriptor"]))
-        decay, ema_steps = float(meta["ema_decay"]), int(meta.get("ema_steps", 0))
         config = TrainConfig.from_dict(meta["config"])
     except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: no usable net descriptor, EMA decay and "
-                              f"config in the header ({e!r})") from None
-    if config.model_descriptor() != net.descriptor:
-        raise CheckpointError(f"{path}: the config describes the net "
-                              f"{config.model_descriptor()}, the descriptor {net.descriptor}")
-    teacher_params = []
-    for name, p in net.named_params():
-        for key in (f"student/{name}", f"teacher/{name}"):
-            if key not in arrays or arrays[key].shape != p.data.shape:
+        raise CheckpointError(f"{path}: no usable config in the header ({e!r})") from None
+    steps = [meta.get(key) for key in ("step", "ema_steps")]
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in steps):
+        raise CheckpointError(f"{path}: step and ema_steps must be integers >= 0, "
+                              f"got {steps[0]!r} and {steps[1]!r}")
+    descriptor = config.model_descriptor()
+    params = {"student": [], "teacher": []}
+    for name, shape in descriptor.param_shapes():
+        for role, loaded in params.items():
+            key = f"{role}/{name}"
+            if key not in arrays or arrays[key].shape != shape:
                 found = f"of shape {arrays[key].shape}" if key in arrays else "missing"
-                raise CheckpointError(
-                    f"{path}: tensor {key} is {found}; the net needs {p.data.shape}")
-        p.data = arrays[f"student/{name}"]
-        teacher_params.append(Tensor(arrays[f"teacher/{name}"]))
-    ema_state = EmaState(decay=decay, teacher_params=teacher_params, step_count=ema_steps)
-    return net, ema_state, meta
+                raise CheckpointError(f"{path}: tensor {key} is {found}; the net needs {shape}")
+            loaded.append(Tensor(arrays[key], requires_grad=role == "student"))
+    net = SegNet(descriptor, params["student"])
+    ema_state = EmaState(decay=config.ema_decay, teacher_params=params["teacher"],
+                         step_count=steps[1])
+    return net, ema_state, {"config": config, "step": steps[0]}

@@ -7,8 +7,10 @@ import platform
 import numpy as np
 import pytest
 
+from structseg.checkpoint import read_blob
 from structseg.cli import main
-from structseg.tensor import HEAP_KEEPS_FREED_BLOCKS
+from structseg.synthdata import save_pgm
+from structseg.tensor import HEAP_KEEPS_FREED_BLOCKS, no_grad
 from structseg.trainer import TrainConfig, load_checkpoint
 
 TINY_CONFIG = {
@@ -26,10 +28,18 @@ def tiny_config(tmp_path):
     return path
 
 
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint, applying ``edit(header, entries by name)`` to its
+    JSON header line."""
+    line, payload = src.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header, {e["name"]: e for e in header["tensors"]})
+    dst.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 def _narrow_first_layer(header, entries):
-    """The descriptor and the config agree on a net whose first layer is
-    narrower than the stored tensors."""
-    header["meta"]["descriptor"]["widths"][0] = 5
+    """The config describes a net whose first layer is narrower than the
+    stored tensors."""
     header["meta"]["config"]["model_widths"][0] = 5
 
 
@@ -37,12 +47,28 @@ def _narrow_first_layer(header, entries):
 HEADER_EDITS = {
     "missing-tensor": lambda h, e: h["tensors"].remove(e["student/conv0.kernel"]),
     "shape-vs-nbytes": lambda h, e: e["teacher/conv1.bias"].update(shape=[2]),
-    "no-descriptor": lambda h, e: h["meta"].pop("descriptor"),
     "no-tensor-list": lambda h, e: h.pop("tensors"),
     "flat-kernel": lambda h, e: e["student/conv0.kernel"].update(shape=[3 * 3 * 3 * 6]),
-    "descriptor-widths": _narrow_first_layer,
+    "config-widths": _narrow_first_layer,
     "config-net": lambda h, e: h["meta"]["config"].update(num_classes=4),
+    "no-config": lambda h, e: h["meta"].pop("config"),
+    "no-step": lambda h, e: h["meta"].pop("step"),
+    "step-string": lambda h, e: h["meta"].update(step="abc"),
+    "step-null": lambda h, e: h["meta"].update(step=None),
+    "step-list": lambda h, e: h["meta"].update(step=[1]),
+    "step-bool": lambda h, e: h["meta"].update(step=True),
+    "step-float": lambda h, e: h["meta"].update(step=4.0),
+    "ema-steps-negative": lambda h, e: h["meta"].update(ema_steps=-1),
 }
+
+
+def _add_parent_keys(header, entries):
+    """The header as the previous format wrote it: the net's descriptor and
+    the EMA decay beside the config that also holds them."""
+    cfg = header["meta"]["config"]
+    header["meta"]["descriptor"] = {"in_channels": 3, "kernel_size": cfg["kernel_size"],
+                                    "widths": cfg["model_widths"] + [cfg["num_classes"]]}
+    header["meta"]["ema_decay"] = cfg["ema_decay"]
 
 
 def _train(tmp_path, tiny_config, out_name, *extra):
@@ -149,6 +175,21 @@ class TestEvaluate:
         assert printed[0].startswith("step,variant,iou_0")
         assert len(printed[1].split(",")) == 2 + TINY_CONFIG["num_classes"] + 1
 
+    def test_parent_format_header_prints_the_same_lines(self, tmp_path, tiny_config, capsys):
+        """A header that still carries ``descriptor`` and ``ema_decay`` loads,
+        and both headers print the header and last row of the run's eval.csv."""
+        _, out = _train(tmp_path, tiny_config, "run", "--seed", "1")
+        older = tmp_path / "older.bin"
+        _rewrite_header(out / "checkpoint.bin", older, _add_parent_keys)
+        printed = []
+        for path in (out / "checkpoint.bin", older):
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", str(path)]) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        eval_csv = (out / "eval.csv").read_text().splitlines()
+        assert printed[0] == printed[1] == [eval_csv[0], eval_csv[-1]]
+        assert eval_csv[-1].startswith("4,ema,")
+
 
 class TestAblate:
     def test_loss_grid_csv(self, tmp_path, tiny_config, capsys):
@@ -227,6 +268,21 @@ class TestOracle:
         assert "reduction factor" in out
 
 
+class TestTrainCheckpoints:
+    def test_checkpoint_every_writes_loadable_step_checkpoints(self, tmp_path, tiny_config):
+        code, out = _train(tmp_path, tiny_config, "run", "--checkpoint-every", "2")
+        assert code == 0
+        assert sorted(p.name for p in out.glob("checkpoint*.bin")) == [
+            "checkpoint-step2.bin", "checkpoint-step4.bin", "checkpoint.bin"]
+        for step in (2, 4):
+            _, _, meta = load_checkpoint(out / f"checkpoint-step{step}.bin")
+            assert meta["step"] == step
+        last, _ = read_blob(out / "checkpoint-step4.bin")
+        final, _ = read_blob(out / "checkpoint.bin")
+        assert last.keys() == final.keys()
+        assert all(np.array_equal(last[k], final[k]) for k in final)
+
+
 class TestDump:
     def test_dump_writes_images(self, tmp_path, tiny_config):
         out = tmp_path / "dumps"
@@ -260,6 +316,23 @@ class TestDump:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not other.exists()
 
+    @pytest.mark.parametrize("ema_eval", [True, False])
+    def test_predictions_come_from_the_scored_weights(self, tmp_path, tiny_config, ema_eval):
+        _, run = _train(tmp_path, tiny_config, "run")
+        ckpt = run / "checkpoint.bin"
+        out = tmp_path / "dumps"
+        assert main(["dump", "--checkpoint", str(ckpt), "--out-dir", str(out), "--count", "1",
+                     "--ema-eval", str(ema_eval).lower()]) == 0
+        net, ema_state, meta = load_checkpoint(ckpt)
+        image = meta["config"].make_dataset().validation(0).image
+        with no_grad():
+            teacher, student = (np.argmax(net.forward(image, params=p).data, axis=2)
+                                for p in (ema_state.teacher_params, None))
+        assert not np.array_equal(teacher, student)
+        save_pgm(tmp_path / "expected.pgm", teacher if ema_eval else student,
+                 TINY_CONFIG["num_classes"])
+        assert (out / "val0-pred.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
+
 
 class TestUsage:
     def test_missing_input_files_exit_2(self, tmp_path, capsys):
@@ -290,10 +363,7 @@ class TestUsage:
         blob = (run / "checkpoint.bin").read_bytes()
         short = tmp_path / "short.bin"
         if cut in HEADER_EDITS:
-            line, payload = blob.split(b"\n", 1)
-            header = json.loads(line)
-            HEADER_EDITS[cut](header, {e["name"]: e for e in header["tensors"]})
-            short.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+            _rewrite_header(run / "checkpoint.bin", short, HEADER_EDITS[cut])
         else:
             short.write_bytes(blob[:200] if cut == "header" else blob[:-8])
         capsys.readouterr()

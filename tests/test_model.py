@@ -35,7 +35,7 @@ class TestInit:
 
     def test_biases_start_at_zero(self):
         net = init_segnet(np.random.default_rng(0), SegNetDescriptor())
-        for b in net.biases:
+        for b in net.params[1::2]:
             np.testing.assert_array_equal(b.data, 0.0)
 
     def test_param_cap_enforced(self):
@@ -43,17 +43,21 @@ class TestInit:
         with pytest.raises(ValueError, match="cap"):
             init_segnet(np.random.default_rng(0), d)
 
-    def test_descriptor_round_trip(self):
+    def test_param_shapes_are_the_init_shapes(self):
         d = SegNetDescriptor(in_channels=2, widths=(8, 5), kernel_size=5)
-        assert SegNetDescriptor.from_dict(d.to_dict()) == d
+        assert list(d.param_shapes()) == [
+            ("conv0.kernel", (5, 5, 2, 8)), ("conv0.bias", (8,)),
+            ("conv1.kernel", (5, 5, 8, 5)), ("conv1.bias", (5,))]
+        net = init_segnet(np.random.default_rng(0), d)
+        assert [p.data.shape for p in net.params] == [s for _, s in d.param_shapes()]
 
 
 class TestForward:
     def test_zero_final_layer_gives_uniform_softmax(self):
         rng = np.random.default_rng(0)
         net = init_segnet(rng, SegNetDescriptor(in_channels=3, widths=(8, 4)))
-        net.kernels[-1].data[:] = 0.0
-        net.biases[-1].data[:] = 0.0
+        net.params[-2].data[:] = 0.0  # the last kernel
+        net.params[-1].data[:] = 0.0  # and bias
         probs = softmax(net.forward(rng.random((10, 10, 3)))).data
         np.testing.assert_allclose(probs, 0.25, rtol=0, atol=0)
 

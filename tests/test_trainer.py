@@ -1,6 +1,8 @@
 """Training loop: branch toggles, determinism, schedules, evaluation."""
 
 import copy
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from structseg.model import SegNet
 from structseg.optim import poly_lr, sgd_step
 from structseg.tensor import NonFiniteError, backward
 from structseg.trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS,
-                               TrainConfig, Trainer, ablation_csv_rows,
+                               TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
                                load_checkpoint, run_ablation, save_checkpoint)
 
 # small geometry so unit tests stay fast
@@ -184,20 +186,31 @@ class TestStepMechanics:
 class TestEvaluate:
     def test_ema_eval_equals_student_eval_at_step_zero(self):
         tr = Trainer(_cfg(seed=4))
-        per_ema, m_ema = tr.evaluate(use_ema=True)
-        per_stu, m_stu = tr.evaluate(use_ema=False)
-        assert m_ema == m_stu
-        assert per_ema == per_stu
+        ema, stu = (evaluate_net(tr.student, tr.ema, replace(tr.config, ema_eval=flag),
+                                 tr.dataset) for flag in (True, False))
+        assert (ema.variant, stu.variant) == ("ema", "student")
+        assert ema[:2] == stu[:2]
+
+    def test_ema_eval_scores_the_teacher(self):
+        tr = Trainer(_cfg(seed=4))
+        for _ in range(3):
+            tr.train_step()
+        teacher = tr.evaluate()
+        tr.config = replace(tr.config, ema_eval=False)
+        student = tr.evaluate()
+        for p, t in zip(tr.student.params, tr.ema.teacher_params):
+            p.data = t.data.copy()
+        student_as_teacher = tr.evaluate()
+        assert (teacher.variant, student.variant) == ("ema", "student")
+        assert teacher[:2] == student_as_teacher[:2] != student[:2]
 
     def test_constant_class_predictor_confusion_arithmetic(self):
-        cfg = _cfg(seed=0)
+        cfg = _cfg(seed=0, ema_eval=False)
         tr = Trainer(cfg)
-        for k in tr.student.kernels:
-            k.data[:] = 0.0
-        for b in tr.student.biases:
-            b.data[:] = 0.0
-        tr.student.biases[-1].data[1] = 10.0  # always predict class 1
-        _, m = tr.evaluate(use_ema=False)
+        for p in tr.student.params:
+            p.data[:] = 0.0
+        tr.student.params[-1].data[1] = 10.0  # the last bias: always predict class 1
+        m = tr.evaluate().miou
         # expected from the confusion matrix: class 1 IoU = (its truth pixel
         # count) / (total pixels), other present classes 0
         counts = np.zeros(cfg.num_classes)
@@ -257,8 +270,10 @@ class TestCheckpointIntegration:
             assert np.array_equal(pa.data, pb.data)
         for ta, tb in zip(ema_state.teacher_params, tr.ema.teacher_params):
             assert np.array_equal(ta.data, tb.data)
-        assert meta["step"] == 3
-        assert meta["config"] == tr.config.to_dict()
+        assert meta == {"config": tr.config, "step": 3}
+        assert (ema_state.decay, ema_state.step_count) == (tr.config.ema_decay, 3)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert set(header["meta"]) == {"config", "step", "ema_steps"}
 
     def test_loaded_net_reproduces_forward(self, tmp_path):
         tr = Trainer(_cfg(seed=7))

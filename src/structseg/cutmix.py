@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -103,6 +104,25 @@ class BoxPairs:
         return len(self.region) ** 2 if self.q is None else len(self.q)
 
 
+class PairLayout(NamedTuple):
+    """A pair set gathered for a loss that averages over the boxes with at
+    least one pair, then over each box's pairs, so that a pair of a box
+    with n pairs weighs 1 / (n_boxes * n).
+
+    Boxes that keep all m*m pairs are consecutive segments of ``rows``,
+    box k's starting at ``starts[k]``, with ``box_of_row`` and the weight
+    ``box_w[k]`` of each of its pairs; sampled pairs are ``i``, ``j`` with
+    weights ``pair_w``. A part no box takes is empty."""
+    n_boxes: int
+    rows: np.ndarray
+    starts: np.ndarray
+    box_of_row: np.ndarray
+    box_w: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    pair_w: np.ndarray
+
+
 @dataclass
 class PairSet:
     """Ordered pixel pairs per active box under a shared budget: every
@@ -116,6 +136,28 @@ class PairSet:
 
     def counts(self) -> List[int]:
         return [len(bp) for bp in self.per_box]
+
+    @cached_property
+    def layout(self) -> PairLayout:
+        """The gathered layout, built on first use, so that a loss
+        evaluated many times on one pair set gathers it once; ``per_box``
+        must not change after that."""
+        nonempty = [bp for bp in self.per_box if len(bp) > 0]
+        n_boxes = len(nonempty)
+        exact = [bp for bp in nonempty if bp.q is None]
+        sampled = [bp for bp in nonempty if bp.q is not None]
+        no_rows = [np.empty(0, dtype=np.int64)]  # so that an unused part is empty
+        sizes = np.array([len(bp.region) for bp in exact], dtype=np.int64)
+        return PairLayout(
+            n_boxes=n_boxes,
+            rows=np.concatenate(no_rows + [bp.region for bp in exact]),
+            starts=np.cumsum(sizes) - sizes,
+            box_of_row=np.repeat(np.arange(len(exact)), sizes),
+            box_w=1.0 / (n_boxes * sizes.astype(np.float64) ** 2),
+            i=np.concatenate(no_rows + [bp.i for bp in sampled]),
+            j=np.concatenate(no_rows + [bp.j for bp in sampled]),
+            pair_w=np.concatenate([np.empty(0)] + [
+                np.full(len(bp), 1.0 / (n_boxes * len(bp))) for bp in sampled]))
 
 
 def boxset_from_boxes(boxes: Sequence[Box], height: int, width: int,
@@ -154,8 +196,8 @@ def _sample_boxes(rng: np.random.Generator, height: int, width: int, n: int) -> 
     boxes = []
     for k in range(n):
         fw, fh = rng.uniform(lo, hi, size=2)
-        w = int(np.clip(round(fw * width), 1, width))
-        h = int(np.clip(round(fh * height), 1, height))
+        w = min(max(round(fw * width), 1), width)
+        h = min(max(round(fh * height), 1), height)
         x0 = int(rng.integers(0, width - w + 1))
         y0 = int(rng.integers(0, height - h + 1))
         boxes.append(Box(x0, y0, w, h, paste_index=k + 1))

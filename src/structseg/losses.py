@@ -13,11 +13,16 @@ probabilities once; boxes whose m*m ordered pairs all fit the pair budget
 add an exact per-box Gram term costing O(m*C^2), boxes with sampled pairs
 add their pairs' squared differences of dot products on the same unit
 rows, and one backward pass goes through the normalization for both.
+
+What depends only on the labels (``WindowTarget``) or only on the pairs
+(``PairSet.layout``) is built once per label map or pair set, so repeated
+evaluations, such as a gradient check's, redo only the probability part.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Union
 
 import numpy as np
 
@@ -52,23 +57,42 @@ def window_class_mask(labels: np.ndarray, window: int, num_classes: int) -> np.n
     return mask.astype(np.float64)
 
 
-def relaxed_cross_entropy(probs: PredictionMap, labels: np.ndarray, window: int) -> Tensor:
+class WindowTarget:
+    """The label-only inputs of ``relaxed_cross_entropy`` for one label
+    map and window: the checked labels, the 0/1 weights of non-ignore
+    pixels, 1 / their count and the window class mask. Build it once to
+    evaluate the loss many times on the same labels."""
+
+    def __init__(self, labels: np.ndarray, window: int, num_classes: int):
+        if window < 1 or window % 2 == 0:
+            raise ValueError(f"relaxed_cross_entropy: window must be odd and >= 1, got {window}")
+        self.labels = check_label_map(labels, num_classes)
+        self.window = window
+        self.valid = (self.labels != IGNORE).astype(np.float64)
+        n_valid = int(self.valid.sum())
+        if n_valid == 0:
+            raise ValueError("relaxed_cross_entropy: every pixel is ignored")
+        self.inv_valid = 1.0 / n_valid
+        self.mask = window_class_mask(self.labels, window, num_classes)
+
+
+def relaxed_cross_entropy(probs: PredictionMap, labels: Union[np.ndarray, WindowTarget],
+                          window: int) -> Tensor:
     """-log of the probability mass on any class present in the local
     label window, averaged over non-ignore pixels. window=1 is standard
-    cross entropy."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"relaxed_cross_entropy: window must be odd and >= 1, got {window}")
-    labels = check_label_map(labels, probs.num_classes)
-    if labels.shape != (probs.height, probs.width):
+    cross entropy. ``labels`` is a label map or a ``WindowTarget`` built
+    for this window and these predictions."""
+    target = (labels if isinstance(labels, WindowTarget)
+              else WindowTarget(labels, window, probs.num_classes))
+    if target.window != window:
         raise ValueError(
-            f"relaxed_cross_entropy: labels {labels.shape} do not match "
-            f"predictions {(probs.height, probs.width)}")
-    valid = (labels != IGNORE).astype(np.float64)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("relaxed_cross_entropy: every pixel is ignored")
-    mask = window_class_mask(labels, window, probs.num_classes)
-    s = -1.0 / n_valid
+            f"relaxed_cross_entropy: target built for window {target.window}, got {window}")
+    if target.mask.shape != probs.shape:
+        raise ValueError(
+            f"relaxed_cross_entropy: labels {target.labels.shape} of "
+            f"{target.mask.shape[2]} classes do not match predictions {probs.shape}")
+    valid, mask = target.valid, target.mask
+    s = -target.inv_valid
     in_window = (probs.probs.data * mask).sum(axis=2)
     clamped = np.maximum(in_window, LOG_FLOOR)
 
@@ -133,16 +157,14 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         raise ValueError(
             f"structured_consistency_box: predictions {student.shape[:2]} do not "
             f"match boxes {(boxset.height, boxset.width)}")
-    nonempty = [bp for bp in pairs.per_box if len(bp) > 0]
-    if not nonempty:
+    lay = pairs.layout
+    if lay.n_boxes == 0:
         logger.warning("structured_consistency_box: every active box has an "
                        "empty pair list, returning 0")
         return Tensor(0.0)
     # The double average (over boxes, then over a box's pairs) is a linear
     # weighting, so every box adds its weighted term to one node.
-    n_boxes = len(nonempty)
-    exact = [bp for bp in nonempty if bp.q is None]
-    sampled = [bp for bp in nonempty if bp.q is not None]
+    exact, sampled = len(lay.box_w) > 0, len(lay.pair_w) > 0
     s_hat, s_norms = _unit_rows(student.probs.data.reshape(-1, student.num_classes))
     t_hat, _ = _unit_rows(guessed.probs.data.reshape(-1, guessed.num_classes))
     terms = []
@@ -152,48 +174,39 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         # it is tr((Y^T X)^2) / 2 + <X^T X, Y^T Y>_F / 2, made of C x C Gram
         # matrices only, and exactly 0 at S == T. Regions are disjoint, so
         # each box is a segment of the gathered rows.
-        sizes = np.array([len(bp.region) for bp in exact])
-        rows = np.concatenate([bp.region for bp in exact])
-        starts = np.cumsum(sizes) - sizes
-        box_of_row = np.repeat(np.arange(len(exact)), sizes)
-        box_w = 1.0 / (n_boxes * sizes.astype(np.float64) ** 2)
-        s_rows, t_rows = s_hat.take(rows, axis=0), t_hat.take(rows, axis=0)
+        s_rows, t_rows = s_hat.take(lay.rows, axis=0), t_hat.take(lay.rows, axis=0)
         x, y = s_rows - t_rows, s_rows + t_rows
 
         def gram(a, b):  # per box, a_b^T b_b
-            return np.add.reduceat(a[:, :, None] * b[:, None, :], starts, axis=0)
+            return np.add.reduceat(a[:, :, None] * b[:, None, :], lay.starts, axis=0)
 
         yx, xx, yy = gram(y, x), gram(x, x), gram(y, y)
         per_box = np.einsum("bij,bji->b", yx, yx) + (xx * yy).sum(axis=(1, 2))
-        terms.append(0.5 * (box_w @ per_box))
+        terms.append(0.5 * (lay.box_w @ per_box))
     if sampled:
         # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count
-        idx_i = np.concatenate([bp.i for bp in sampled])
-        idx_j = np.concatenate([bp.j for bp in sampled])
-        pair_w = np.concatenate(
-            [np.full(len(bp), 1.0 / (n_boxes * len(bp))) for bp in sampled])
-        s_i, s_j = s_hat.take(idx_i, axis=0), s_hat.take(idx_j, axis=0)
+        s_i, s_j = s_hat.take(lay.i, axis=0), s_hat.take(lay.j, axis=0)
         d = (np.einsum("nc,nc->n", s_i, s_j)
-             - np.einsum("nc,nc->n", t_hat.take(idx_i, axis=0), t_hat.take(idx_j, axis=0)))
-        terms.append((d * d * pair_w).sum())
+             - np.einsum("nc,nc->n", t_hat.take(lay.i, axis=0), t_hat.take(lay.j, axis=0)))
+        terms.append((d * d * lay.pair_w).sum())
 
     def grad_of(g):
         g_hat = np.zeros_like(s_hat)
         if exact:
             # d/dS = 2 (X (Y^T S) + Y (X^T S)) per box, with Y^T S = (Y^T Y +
             # Y^T X) / 2 and X^T S = (X^T X + X^T Y) / 2 since S = (X + Y) / 2
-            k_x = (yy + yx)[box_of_row]
-            k_y = (xx + yx.transpose(0, 2, 1))[box_of_row]
-            g_hat[rows] = (g * box_w)[box_of_row, None] * (
+            k_x = (yy + yx)[lay.box_of_row]
+            k_y = (xx + yx.transpose(0, 2, 1))[lay.box_of_row]
+            g_hat[lay.rows] = (g * lay.box_w)[lay.box_of_row, None] * (
                 np.einsum("nc,ncd->nd", x, k_x) + np.einsum("nc,ncd->nd", y, k_y))
         if sampled:
             # d(s_i . s_j)/ds_i = s_j on unit rows. Only the part orthogonal
             # to s_i survives the normalization backward, so row i takes
             # s_j - s_i and row j takes s_i - s_j, which cancel less. Scatter-
             # add with repeated rows, one bincount per class (beats np.add.at)
-            gd = 2.0 * g * pair_w * d
+            gd = 2.0 * g * lay.pair_w * d
             delta = s_j - s_i
-            idx = np.concatenate([idx_i, idx_j])
+            idx = np.concatenate([lay.i, lay.j])
             for c in range(g_hat.shape[1]):
                 g_hat[:, c] += np.bincount(idx, weights=np.concatenate(
                     [gd * delta[:, c], -gd * delta[:, c]]), minlength=len(g_hat))

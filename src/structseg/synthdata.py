@@ -170,24 +170,30 @@ class SceneDataset:
         self.texture_sigma = texture_sigma
         self._cache: dict = {}
 
-    def _scene(self, split: int, index: int, count: int) -> SceneSample:
+    def _generate(self, split: int, index: int, count: int) -> SceneSample:
         if not 0 <= index < count:
             raise IndexError(f"index {index} outside split of size {count}")
+        return generate_scene(
+            sample_seed(self.seed, split, index), self.height, self.width,
+            self.num_classes, texture_sigma=self.texture_sigma)
+
+    def _cached(self, split: int, index: int, count: int) -> SceneSample:
         key = (split, index)
         if key not in self._cache:
-            self._cache[key] = generate_scene(
-                sample_seed(self.seed, split, index), self.height, self.width,
-                self.num_classes, texture_sigma=self.texture_sigma)
+            self._cache[key] = self._generate(split, index, count)
         return self._cache[key]
 
     def labeled(self, index: int) -> SceneSample:
-        return self._scene(SPLIT_LABELED, index, self.n_labeled)
+        return self._cached(SPLIT_LABELED, index, self.n_labeled)
 
     def unlabeled_image(self, index: int) -> np.ndarray:
-        return self._scene(SPLIT_UNLABELED, index, self.n_unlabeled).image
+        return self._cached(SPLIT_UNLABELED, index, self.n_unlabeled).image
 
     def validation(self, index: int) -> SceneSample:
-        return self._scene(SPLIT_VALIDATION, index, self.n_validation)
+        """Generated on every read and not kept: an evaluation reads each
+        validation scene once, while training reads the other splits again
+        every epoch."""
+        return self._generate(SPLIT_VALIDATION, index, self.n_validation)
 
 
 def save_ppm(path, image: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .cutmix import Box, boxset_from_boxes, drop_pairs, generate_boxes
-from .losses import (consistency_loss, relaxed_cross_entropy,
+from .losses import (WindowTarget, consistency_loss, relaxed_cross_entropy,
                      structured_consistency_box, structured_consistency_full)
 from .maps import IGNORE, PredictionMap
 from .tensor import Tensor, backward, tape
@@ -92,9 +92,10 @@ def check_relaxed_ce(seed: int, window: int, shape=(8, 8, 3)) -> float:
     labels = rng.integers(0, c, size=(h, w))
     if rng.random() < 0.5:  # exercise the ignore path some of the time
         labels[rng.integers(0, h), rng.integers(0, w)] = IGNORE
+    target = WindowTarget(labels, window, c)
 
     def loss(t: Tensor) -> Tensor:
-        return relaxed_cross_entropy(PredictionMap.from_logits(t), labels, window)
+        return relaxed_cross_entropy(PredictionMap.from_logits(t), target, window)
 
     return _loss_grad_error(loss, logits0)
 

@@ -11,8 +11,8 @@ import pytest
 
 from structseg.cutmix import (Box, BoxPairs, PairSet, boxset_from_boxes,
                               drop_pairs, generate_boxes)
-from structseg.losses import (consistency_loss, relaxed_cross_entropy,
-                              structured_consistency_box,
+from structseg.losses import (WindowTarget, consistency_loss,
+                              relaxed_cross_entropy, structured_consistency_box,
                               structured_consistency_full, window_class_mask)
 from structseg.maps import IGNORE, PredictionMap
 from structseg.tensor import Tensor, backward, tape
@@ -181,6 +181,48 @@ class TestRelaxedCrossEntropy:
         pm = _probs(np.random.default_rng(5), (16, 16, 4))
         expected = np.nanmean(_relaxed_ce_per_pixel_oracle(pm.probs.data, labels, 35))
         assert abs(relaxed_cross_entropy(pm, labels, 35).item() - expected) < 1e-12
+
+
+def _ce_value_and_grad(logits0, labels, window):
+    t = Tensor(logits0, requires_grad=True)
+    loss = relaxed_cross_entropy(PredictionMap.from_logits(t), labels, window)
+    backward(loss)
+    return loss.item(), t.grad
+
+
+class TestWindowTarget:
+    def test_target_equals_label_map_call(self):
+        """Value and gradient are bit-identical to the label-map call, for
+        one target reused across evaluations."""
+        rng = np.random.default_rng(20)
+        for case in range(240):
+            h, w, c = rng.integers(2, 10), rng.integers(2, 10), rng.integers(2, 6)
+            window = (1, 3, 5)[case % 3]
+            labels = rng.integers(0, c, size=(h, w))
+            labels[rng.random(size=(h, w)) < 0.2] = IGNORE
+            labels[0, 0] = rng.integers(0, c)  # at least one scored pixel
+            target = WindowTarget(labels, window, c)
+            for _ in range(2):
+                logits0 = rng.normal(size=(h, w, c))
+                v_map, g_map = _ce_value_and_grad(logits0, labels, window)
+                v_target, g_target = _ce_value_and_grad(logits0, target, window)
+                assert v_map == v_target
+                assert np.array_equal(g_map, g_target)
+
+    def test_mismatched_target_raises(self):
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, size=(6, 5))
+        target = WindowTarget(labels, 3, 3)
+        with pytest.raises(ValueError, match="window 3"):
+            relaxed_cross_entropy(_probs(rng, (6, 5, 3)), target, 5)
+        with pytest.raises(ValueError, match="do not match"):
+            relaxed_cross_entropy(_probs(rng, (6, 6, 3)), target, 3)
+        with pytest.raises(ValueError, match="do not match"):
+            relaxed_cross_entropy(_probs(rng, (6, 5, 4)), target, 3)
+        with pytest.raises(ValueError, match="odd"):
+            WindowTarget(labels, 2, 3)
+        with pytest.raises(ValueError, match="ignored"):
+            WindowTarget(np.full((3, 3), IGNORE), 1, 3)
 
 
 # -- pixel-wise consistency ----------------------------------------------------
@@ -476,3 +518,42 @@ class TestStructuredPaths:
             assert pairs.counts() == [len(bs.effective_regions[k - 1]) ** 2
                                       for k in range(lo, hi + 1)]
             assert all(bp.q is None for bp in pairs.per_box)
+
+
+class TestPairLayout:
+    """A pair set gathers its layout once; reusing it gives what a freshly
+    built pair set gives, bit for bit."""
+
+    @pytest.mark.parametrize("budget,kinds", [(16 ** 4, {True}), (1, {False}),
+                                              (96, {True, False})],
+                             ids=["exact", "sampled", "mixed"])
+    def test_reused_pair_set_equals_fresh_ones(self, budget, kinds):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            logits = [rng.normal(size=(16, 16, 3)) for _ in range(3)]
+            g = _probs(rng, (16, 16, 3))
+            bs = generate_boxes(seed, 16, 16, 8, n_box=6)
+
+            def fresh():
+                pairs = drop_pairs(bs, budget, np.random.default_rng(seed))
+                # single-pixel boxes fit even budget 1, so list their pairs
+                return _explicit(pairs) if budget == 1 else pairs
+
+            reused = fresh()
+            assert {bp.q is None for bp in reused.per_box if len(bp) > 0} == kinds
+            for logits0 in logits:
+                got = _value_and_grad(logits0, g, bs, reused)
+                want = _value_and_grad(logits0, g, bs, fresh())
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+            assert reused.layout is reused.layout
+
+    def test_empty_pair_set_warns_on_every_use(self, caplog):
+        bs = boxset_from_boxes([Box(0, 0, 2, 2, 1), Box(0, 0, 4, 4, 2)], 8, 8, n_box=2)
+        pairs = PairSet([BoxPairs(1, np.empty(0, dtype=np.int64)),
+                         BoxPairs(2, np.empty(0, dtype=np.int64))], 10)
+        s = _probs(np.random.default_rng(1), (8, 8, 3))
+        with caplog.at_level("WARNING"):
+            for _ in range(3):
+                assert structured_consistency_box(s, s.detach(), bs, pairs).item() == 0.0
+        assert sum("empty pair list" in r.message for r in caplog.records) == 3

@@ -1,5 +1,8 @@
 """Scene generator, augmentation pipeline, dataset splits, image dumps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,21 @@ class TestDataset:
                           n_validation=2)
         with pytest.raises(IndexError):
             ds.labeled(2)
+        with pytest.raises(IndexError):
+            ds.validation(2)
+
+    def test_validation_scenes_are_not_kept(self):
+        ds = SceneDataset(3, height=16, width=16, n_labeled=2, n_unlabeled=2,
+                          n_validation=2)
+        first, again = ds.validation(1), ds.validation(1)
+        np.testing.assert_array_equal(first.image, again.image)
+        np.testing.assert_array_equal(first.labels, again.labels)
+        scenes = [weakref.ref(first), weakref.ref(again)]
+        labeled = weakref.ref(ds.labeled(0))
+        del first, again
+        gc.collect()
+        assert all(ref() is None for ref in scenes)
+        assert labeled() is ds.labeled(0)  # the training splits stay cached
 
     def test_sample_seed_is_stable(self):
         # frozen: SeedSequence output must not drift across runs

@@ -109,14 +109,11 @@ class PairLayout(NamedTuple):
     least one pair, then over each box's pairs, so that a pair of a box
     with n pairs weighs 1 / (n_boxes * n).
 
-    Boxes that keep all m*m pairs are consecutive segments of ``rows``,
-    box k's starting at ``starts[k]``, with ``box_of_row`` and the weight
-    ``box_w[k]`` of each of its pairs; sampled pairs are ``i``, ``j`` with
-    weights ``pair_w``. A part no box takes is empty."""
+    Boxes that keep all m*m pairs are their effective ``regions``, each
+    pair of region k weighing ``box_w[k]``; sampled pairs are ``i``, ``j``
+    with weights ``pair_w``. A part no box takes is empty."""
     n_boxes: int
-    rows: np.ndarray
-    starts: np.ndarray
-    box_of_row: np.ndarray
+    regions: List[np.ndarray]
     box_w: np.ndarray
     i: np.ndarray
     j: np.ndarray
@@ -147,13 +144,11 @@ class PairSet:
         exact = [bp for bp in nonempty if bp.q is None]
         sampled = [bp for bp in nonempty if bp.q is not None]
         no_rows = [np.empty(0, dtype=np.int64)]  # so that an unused part is empty
-        sizes = np.array([len(bp.region) for bp in exact], dtype=np.int64)
+        sizes = np.array([len(bp.region) for bp in exact], dtype=np.float64)
         return PairLayout(
             n_boxes=n_boxes,
-            rows=np.concatenate(no_rows + [bp.region for bp in exact]),
-            starts=np.cumsum(sizes) - sizes,
-            box_of_row=np.repeat(np.arange(len(exact)), sizes),
-            box_w=1.0 / (n_boxes * sizes.astype(np.float64) ** 2),
+            regions=[bp.region for bp in exact],
+            box_w=1.0 / (n_boxes * sizes ** 2),
             i=np.concatenate(no_rows + [bp.i for bp in sampled]),
             j=np.concatenate(no_rows + [bp.j for bp in sampled]),
             pair_w=np.concatenate([np.empty(0)] + [

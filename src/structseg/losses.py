@@ -10,9 +10,10 @@ only.
 
 The box-restricted loss row-normalizes the student's and the guessed
 probabilities once; boxes whose m*m ordered pairs all fit the pair budget
-add an exact per-box Gram term costing O(m*C^2), boxes with sampled pairs
-add their pairs' squared differences of dot products on the same unit
-rows, and one backward pass goes through the normalization for both.
+add an exact term from three C x C Gram matrices of their own rows, costing
+O(m*C^2), boxes with sampled pairs add their pairs' squared differences of
+dot products on the same unit rows, and one backward pass goes through the
+normalization for both.
 
 What depends only on the labels (``WindowTarget``) or only on the pairs
 (``PairSet.layout``) is built once per label map or pair set, so repeated
@@ -172,17 +173,14 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         # ||S S^T - T T^T||_F^2 per box, S and T its m x C unit rows: with
         # X = S - T and Y = S + T, S S^T - T T^T = (X Y^T + Y X^T) / 2, so
         # it is tr((Y^T X)^2) / 2 + <X^T X, Y^T Y>_F / 2, made of C x C Gram
-        # matrices only, and exactly 0 at S == T. Regions are disjoint, so
-        # each box is a segment of the gathered rows.
-        s_rows, t_rows = s_hat.take(lay.rows, axis=0), t_hat.take(lay.rows, axis=0)
-        x, y = s_rows - t_rows, s_rows + t_rows
-
-        def gram(a, b):  # per box, a_b^T b_b
-            return np.add.reduceat(a[:, :, None] * b[:, None, :], lay.starts, axis=0)
-
-        yx, xx, yy = gram(y, x), gram(x, x), gram(y, y)
-        per_box = np.einsum("bij,bji->b", yx, yx) + (xx * yy).sum(axis=(1, 2))
-        terms.append(0.5 * (lay.box_w @ per_box))
+        # matrices only, and exactly 0 at S == T.
+        grams = []
+        for region in lay.regions:
+            s_b, t_b = s_hat[region], t_hat[region]
+            x, y = s_b - t_b, s_b + t_b
+            grams.append((region, x, y, y.T @ x, x.T @ x, y.T @ y))
+        per_box = [(yx * yx.T).sum() + (xx * yy).sum() for _, _, _, yx, xx, yy in grams]
+        terms.append(0.5 * (lay.box_w @ np.array(per_box)))
     if sampled:
         # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count
         s_i, s_j = s_hat.take(lay.i, axis=0), s_hat.take(lay.j, axis=0)
@@ -194,11 +192,10 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         g_hat = np.zeros_like(s_hat)
         if exact:
             # d/dS = 2 (X (Y^T S) + Y (X^T S)) per box, with Y^T S = (Y^T Y +
-            # Y^T X) / 2 and X^T S = (X^T X + X^T Y) / 2 since S = (X + Y) / 2
-            k_x = (yy + yx)[lay.box_of_row]
-            k_y = (xx + yx.transpose(0, 2, 1))[lay.box_of_row]
-            g_hat[lay.rows] = (g * lay.box_w)[lay.box_of_row, None] * (
-                np.einsum("nc,ncd->nd", x, k_x) + np.einsum("nc,ncd->nd", y, k_y))
+            # Y^T X) / 2 and X^T S = (X^T X + X^T Y) / 2 since S = (X + Y) / 2.
+            # Regions are disjoint, so each box writes its own rows
+            for w, (region, x, y, yx, xx, yy) in zip(g * lay.box_w, grams):
+                g_hat[region] = w * (x @ (yy + yx) + y @ (xx + yx.T))
         if sampled:
             # d(s_i . s_j)/ds_i = s_j on unit rows. Only the part orthogonal
             # to s_i survives the normalization backward, so row i takes

@@ -177,17 +177,18 @@ class SceneDataset:
             sample_seed(self.seed, split, index), self.height, self.width,
             self.num_classes, texture_sigma=self.texture_sigma)
 
-    def _cached(self, split: int, index: int, count: int) -> SceneSample:
+    def _cached(self, split: int, index: int, count: int, image_only: bool = False):
         key = (split, index)
         if key not in self._cache:
-            self._cache[key] = self._generate(split, index, count)
+            sample = self._generate(split, index, count)
+            self._cache[key] = sample.image if image_only else sample
         return self._cache[key]
 
     def labeled(self, index: int) -> SceneSample:
         return self._cached(SPLIT_LABELED, index, self.n_labeled)
 
     def unlabeled_image(self, index: int) -> np.ndarray:
-        return self._cached(SPLIT_UNLABELED, index, self.n_unlabeled).image
+        return self._cached(SPLIT_UNLABELED, index, self.n_unlabeled, image_only=True)
 
     def validation(self, index: int) -> SceneSample:
         """Generated on every read and not kept: an evaluation reads each

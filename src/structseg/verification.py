@@ -190,18 +190,22 @@ def run_oracle(n_seeds: int = 50, seed0: int = 0) -> float:
 
 
 def pair_reduction_report(height: int = 1024, width: int = 2048,
-                          n_boxes: int = 32, n_active: int = 16,
-                          budget: int = 9000) -> List[str]:
-    """Static arithmetic: sampled pair count vs full per-box enumeration at
-    production geometry, assuming boxes share half the image evenly."""
-    sampled = n_active * budget
-    mean_region = (height * width) // (2 * n_boxes)
-    enumerated = n_active * mean_region ** 2
+                          n_boxes: int = 32, n_active: int = 16, budget: int = 9000,
+                          num_classes: int = 19, seed: int = 0) -> List[str]:
+    """Pair counts of one box set that ``generate_boxes`` draws from
+    ``seed`` at production geometry, from its active boxes' effective
+    region sizes m: full enumeration takes sum m^2 pairs, the loss
+    sum min(m^2, budget), and the exact form's Grams scale as sum m*C^2."""
+    boxset = generate_boxes(seed, height, width, n_boxes, n_box=n_active)
+    lo, hi = boxset.active_range
+    m = np.array([len(r) for r in boxset.effective_regions[lo - 1:hi]], dtype=np.int64)
+    enumerated, used = int((m * m).sum()), int(np.minimum(m * m, budget).sum())
     return [
-        f"geometry: {width}x{height}, {n_boxes} boxes ({n_active} active), "
-        f"pair budget {budget}",
-        f"sampled pairs per step: {n_active} x {budget} = {sampled:,}",
-        f"mean effective region ~ {mean_region:,} px -> full enumeration "
-        f"~ {enumerated:,} pairs",
-        f"reduction factor: {enumerated / sampled:,.1f}x",
+        f"geometry: {width}x{height}, {num_classes} classes, {n_boxes} boxes "
+        f"({n_active} active, {int(m.sum()):,} rows, {int((m == 0).sum())} empty) "
+        f"drawn from seed {seed}, pair budget {budget}",
+        f"full enumeration: sum m^2 = {enumerated:,} pairs",
+        f"budgeted pairs: sum min(m^2, {budget}) = {used:,}",
+        f"reduction factor: {enumerated / max(used, 1):,.1f}x",
+        f"exact Gram form: sum m*C^2 = {int(m.sum()) * num_classes ** 2:,} multiply-adds per Gram",
     ]

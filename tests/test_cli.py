@@ -9,9 +9,11 @@ import pytest
 
 from structseg.checkpoint import read_blob
 from structseg.cli import main
+from structseg.cutmix import drop_pairs, generate_boxes
 from structseg.synthdata import save_pgm
 from structseg.tensor import HEAP_KEEPS_FREED_BLOCKS, no_grad
 from structseg.trainer import TrainConfig, load_checkpoint
+from structseg.verification import pair_reduction_report
 
 TINY_CONFIG = {
     "height": 24, "width": 24, "num_classes": 3,
@@ -264,8 +266,27 @@ class TestOracle:
         out = capsys.readouterr().out
         assert code == 0
         assert "deviation" in out
-        assert "144,000" in out
+        # counts of the box set drawn at 1024x2048 from seed 0
+        assert "sum min(m^2, 9000) = 135,000" in out
+        assert "sum m^2 = 34,662,900,331 pairs" in out
+        assert "sum m*C^2 = 225,070,865" in out
         assert "reduction factor" in out
+
+    def test_report_counts_the_pairs_drop_pairs_keeps(self):
+        kinds = set()
+        for seed in range(5):
+            lines = pair_reduction_report(height=16, width=24, n_boxes=6, n_active=3,
+                                          budget=400, num_classes=3, seed=seed)
+            boxset = generate_boxes(seed, 16, 24, 6, n_box=3)
+            pairs = drop_pairs(boxset, 400, np.random.default_rng(seed))
+            kinds |= {bp.q is None for bp in pairs.per_box if len(bp) > 0}
+            m = [len(bp.region) for bp in pairs.per_box]
+            report = "\n".join(lines)
+            assert f"sum min(m^2, 400) = {sum(pairs.counts()):,}\n" in report
+            assert f"sum m^2 = {sum(k * k for k in m):,} pairs" in report
+            assert f"{sum(m):,} rows" in report
+            assert f"sum m*C^2 = {9 * sum(m):,} multiply-adds" in report
+        assert kinds == {True, False}  # boxes that fit and boxes that are sampled
 
 
 class TestTrainCheckpoints:

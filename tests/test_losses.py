@@ -5,6 +5,7 @@ per-pair double loops) kept separate from the library's vectorized paths.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from structseg.losses import (WindowTarget, consistency_loss,
                               structured_consistency_full, window_class_mask)
 from structseg.maps import IGNORE, PredictionMap
 from structseg.tensor import Tensor, backward, tape
+from structseg.verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE, max_rel_error,
+                                    numerical_gradient, oracle_comparison)
 
 
 def _probs(rng, shape):
@@ -518,6 +521,73 @@ class TestStructuredPaths:
             assert pairs.counts() == [len(bs.effective_regions[k - 1]) ** 2
                                       for k in range(lo, hi + 1)]
             assert all(bp.q is None for bp in pairs.per_box)
+
+
+class TestExactGramsPerBox:
+    """The exact term at the paper's 19 classes: three C x C Grams per box,
+    also where a box has fewer pixels than classes and its Grams are
+    rank-deficient."""
+
+    # Value and backward at 256x512x19 with every box exact take about
+    # 89 MiB; a form that builds (n, C, C) arrays over the exact boxes'
+    # rows takes about 300 MiB and fails this bound.
+    PEAK_BOUND_MIB = 150
+
+    def test_paper_classes_at_256x512_stay_under_the_memory_bound(self):
+        h, w, c = 256, 512, 19
+        rng = np.random.default_rng(0)
+        s = PredictionMap(Tensor(_probs(rng, (h, w, c)).probs.data, requires_grad=True))
+        g = _probs(rng, (h, w, c))
+        bs = generate_boxes(0, h, w, 32, n_box=16)
+        pairs = drop_pairs(bs, (h * w) ** 2, rng)
+        assert all(bp.q is None for bp in pairs.per_box)
+        tracemalloc.start()
+        try:
+            loss = structured_consistency_box(s, g, bs, pairs)
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < loss.item() < 4.0 and np.isfinite(s.probs.grad).all()
+        assert peak < self.PEAK_BOUND_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_oracle_at_19_classes(self):
+        # 6x6 in three strips: 12 pixels per box against 19 classes
+        for seed in range(20):
+            fast, ref = oracle_comparison(seed, num_classes=19)
+            assert abs(fast - ref) < ORACLE_TOLERANCE
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_at_19_classes_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        logits0 = rng.normal(size=(8, 8, 19))
+        g = _probs(rng, (8, 8, 19))
+        # regions of 23, 9 and 6 pixels, two of them fewer than the classes
+        bs = boxset_from_boxes([Box(0, 0, 8, 4, 1), Box(1, 1, 3, 3, 2),
+                                Box(5, 5, 2, 3, 3)], 8, 8)
+        pairs = drop_pairs(bs, 64 ** 2, rng)
+        assert [len(bp.region) for bp in pairs.per_box] == [23, 9, 6]
+        assert all(bp.q is None for bp in pairs.per_box)
+        value, analytic = _value_and_grad(logits0, g, bs, pairs)
+
+        def f(x):
+            return structured_consistency_box(
+                PredictionMap.from_logits(Tensor(x)), g, bs, pairs).item()
+
+        assert max_rel_error(analytic, numerical_gradient(f, logits0), value) < GRAD_TOLERANCE
+
+    def test_exactly_zero_at_fixpoint_with_19_classes(self):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            t = Tensor(rng.normal(size=(32, 32, 19)), requires_grad=True)
+            student = PredictionMap.from_logits(t)
+            bs = generate_boxes(rng, 32, 32, 32, n_box=16)
+            pairs = drop_pairs(bs, 32 ** 4, rng)
+            assert {len(bp.region) < 19 for bp in pairs.per_box if len(bp) > 0} == {True, False}
+            loss = structured_consistency_box(student, student.detach(), bs, pairs)
+            backward(loss)
+            assert loss.item() == 0.0
+            assert np.all(t.grad == 0.0)
 
 
 class TestPairLayout:

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from structseg import synthdata
 from structseg.synthdata import (SceneDataset, augment, augment_pair,
                                  generate_scene, rasterize_labels, save_pgm,
                                  save_ppm, sample_scene_shapes, sample_seed)
@@ -181,6 +182,25 @@ class TestDataset:
         gc.collect()
         assert all(ref() is None for ref in scenes)
         assert labeled() is ds.labeled(0)  # the training splits stay cached
+
+    def test_unlabeled_scenes_keep_only_the_image(self, monkeypatch):
+        label_maps = []
+
+        def generate_and_watch(*args, **kwargs):
+            scene = generate_scene(*args, **kwargs)
+            label_maps.append(weakref.ref(scene.labels))
+            return scene
+
+        monkeypatch.setattr(synthdata, "generate_scene", generate_and_watch)
+        ds = SceneDataset(5, height=16, width=16, n_labeled=1, n_unlabeled=3,
+                          n_validation=1)
+        image = ds.unlabeled_image(2)
+        gc.collect()
+        assert len(label_maps) == 1 and label_maps[0]() is None
+        assert ds.unlabeled_image(2) is image and len(label_maps) == 1
+        np.testing.assert_array_equal(
+            image, generate_scene(synthdata.sample_seed(5, synthdata.SPLIT_UNLABELED, 2),
+                                  16, 16, 4).image)
 
     def test_sample_seed_is_stable(self):
         # frozen: SeedSequence output must not drift across runs

@@ -2,10 +2,12 @@
 
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from structseg import trainer as trainer_mod
 from structseg.losses import PredictionMap, relaxed_cross_entropy
@@ -66,6 +68,44 @@ class TestConfig:
         d = cfg.to_dict()
         reordered = dict(reversed(list(d.items())))
         assert TrainConfig.from_dict(reordered).config_hash() == cfg.config_hash()
+
+
+# Up to three known keys set either to values of their own type or to
+# values of every type a JSON config can hold, nan and inf included.
+TYPED_VALUE = {"int": st.integers(-2, 64), "float": st.floats(-1.0, 64.0),
+               "bool": st.booleans(), "tuple": st.lists(st.integers(-2, 16), max_size=3)}
+ANY_VALUE = st.one_of(st.integers(-2, 64), st.floats(), st.booleans(), st.none(),
+                      st.text(max_size=4), st.lists(st.integers(-2, 16), max_size=3))
+
+
+def _overrides(value_of):
+    return st.lists(st.one_of([st.tuples(st.just(f.name), value_of(f))
+                               for f in fields(TrainConfig)]), max_size=3).map(dict)
+
+
+CONFIG_OVERRIDES = st.one_of(_overrides(lambda f: TYPED_VALUE[f.type]),
+                             _overrides(lambda f: ANY_VALUE))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(CONFIG_OVERRIDES)
+def test_known_keys_raise_config_error_or_train_one_step(overrides):
+    """Whatever values up to three known keys take, the config is rejected
+    with ConfigError before anything runs, or its first step trains (or
+    stops with NonFiniteError). Kept to runs of <= 4096 pixels, <= 3 steps
+    and <= 20 unlabeled scenes."""
+    try:
+        cfg = TrainConfig.from_dict({**_cfg(epochs=1, n_labeled=2).to_dict(), **overrides})
+    except ConfigError:
+        return
+    assume(cfg.height * cfg.width <= 4096 and cfg.epochs * cfg.n_labeled <= 3
+           and cfg.n_unlabeled <= 20)
+    tr = Trainer(cfg)
+    try:
+        for _ in range(min(1, tr.max_steps)):
+            tr.train_step()
+    except NonFiniteError:
+        pass
 
 
 class TestBranchToggles:

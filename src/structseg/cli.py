@@ -112,6 +112,16 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> Optional[float]:
+    """The process's peak resident set in MiB; None where ``resource`` is missing."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss: bytes, else KiB
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+
 def _timestamp() -> str:
     return datetime.datetime.now().isoformat(timespec="seconds")
 
@@ -172,6 +182,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_miou": final.miou,
         "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

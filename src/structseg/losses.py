@@ -186,6 +186,7 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         s_i, s_j = s_hat.take(lay.i, axis=0), s_hat.take(lay.j, axis=0)
         d = (np.einsum("nc,nc->n", s_i, s_j)
              - np.einsum("nc,nc->n", t_hat.take(lay.i, axis=0), t_hat.take(lay.j, axis=0)))
+        delta = s_j - s_i  # all the backward pass reads of s_i and s_j
         terms.append((d * d * lay.pair_w).sum())
 
     def grad_of(g):
@@ -202,7 +203,6 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
             # s_j - s_i and row j takes s_i - s_j, which cancel less. Scatter-
             # add with repeated rows, one bincount per class (beats np.add.at)
             gd = 2.0 * g * lay.pair_w * d
-            delta = s_j - s_i
             idx = np.concatenate([lay.i, lay.j])
             for c in range(g_hat.shape[1]):
                 g_hat[:, c] += np.bincount(idx, weights=np.concatenate(

@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every operation that touches a gradient-tracking tensor is recorded on a
-global tape in execution order; ``backward`` replays the tape in exact
-reverse order, accumulating dLoss/dTensor into ``.grad`` buffers. The
+global tape in execution order; ``backward`` empties the tape node by node
+in exact reverse order, accumulating dLoss/dTensor into ``.grad`` buffers
+and freeing the arrays only the tape held as it goes. The
 engine is deliberately small: ``conv2d``, ``relu`` and ``softmax`` for the
 net, a same-shape ``add`` and a scalar ``scale`` for the weighted loss
 total, and ``custom_op``, which records a hand-differentiated node of one
@@ -172,23 +173,23 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode pass from a scalar loss; clears the tape afterwards.
-
-    Every requires_grad tensor reachable from ``loss`` ends up with
-    ``grad`` holding dLoss/dTensor.
-    """
+    """Reverse-mode pass from a scalar loss. Each node leaves the tape
+    before it runs, so the arrays only it held (its saved inputs, its output
+    and that output's gradient) are freed once it has run; the tape ends
+    empty, also when a node raises. Every requires_grad tensor reachable from
+    ``loss`` that the caller holds ends up with ``grad`` = dLoss/dTensor."""
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
+    try:
+        if not loss.requires_grad:
+            return
+        loss.grad = np.ones_like(loss.data)
+        while _TAPE.nodes:
+            node = _TAPE.nodes.pop()
+            if node.out.grad is not None:
+                node.backward(node.out.grad)
+    finally:
         _TAPE.clear()
-        return
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(_TAPE.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        node.backward(g)
-    _TAPE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     offsets in reverse adds the terms in the same order as scattering
     ``g @ kernel[ky, kx].T`` into each offset's window, so it is
     bit-identical to that scatter-add; cropping the padding off gives the
-    image's gradient.
+    image's gradient. The node keeps ``x`` and pads it again for the kernel
+    gradient.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
@@ -299,6 +301,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
             _accum(bias, g.sum(axis=(0, 1)))
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
+            xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
             for ky in range(kh):
                 for kx in range(kw):
                     patch = xp[ky:ky + oh, kx:kx + ow, :]

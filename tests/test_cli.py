@@ -3,6 +3,8 @@
 import json
 import os
 import platform
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +109,9 @@ class TestTrain:
         assert set(env) == {"python", "numpy", "blas", "blas_thread_env",
                             "cpu_count", "heap_keeps_freed_blocks"}
         assert isinstance(manifest["wall_time_s"], float) and manifest["wall_time_s"] > 0
+        peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+            2 ** 20 if sys.platform == "darwin" else 1024)
+        assert 0 < manifest["peak_rss_mb"] <= peak_now
         # the hash covers the config alone, not the environment
         assert manifest["config_hash"] == TrainConfig.from_dict(
             manifest["config"]).config_hash()
@@ -157,6 +162,12 @@ class TestTrain:
         code, _ = _train(tmp_path, tiny_config, "boom", "--lr0", "1e200")
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_manifest_peak_rss_is_null_without_resource(self, tmp_path, tiny_config,
+                                                        monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource fails
+        _, out = _train(tmp_path, tiny_config, "run-no-resource")
+        assert json.loads((out / "manifest.json").read_text())["peak_rss_mb"] is None
 
     def test_manifest_reproduces_run(self, tmp_path, tiny_config):
         _, out_a = _train(tmp_path, tiny_config, "runM1", "--seed", "9")

@@ -5,7 +5,6 @@ per-pair double loops) kept separate from the library's vectorized paths.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from structseg.maps import IGNORE, PredictionMap
 from structseg.tensor import Tensor, backward, tape
 from structseg.verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE, max_rel_error,
                                     numerical_gradient, oracle_comparison)
+from memory_helpers import traced_peak
 
 
 def _probs(rng, shape):
@@ -541,13 +541,13 @@ class TestExactGramsPerBox:
         bs = generate_boxes(0, h, w, 32, n_box=16)
         pairs = drop_pairs(bs, (h * w) ** 2, rng)
         assert all(bp.q is None for bp in pairs.per_box)
-        tracemalloc.start()
-        try:
+
+        def value_and_backward():
             loss = structured_consistency_box(s, g, bs, pairs)
             backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return loss
+
+        loss, peak = traced_peak(value_and_backward)
         assert 0.0 < loss.item() < 4.0 and np.isfinite(s.probs.grad).all()
         assert peak < self.PEAK_BOUND_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 

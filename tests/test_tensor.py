@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import structseg
-from structseg.tensor import (Tensor, add, backward, conv2d, no_grad, relu, scale,
-                              softmax, tape)
+from structseg.tensor import (Tensor, add, backward, conv2d, custom_op, no_grad, relu,
+                              scale, softmax, tape)
 from structseg.verification import max_rel_error, numerical_gradient
 from tape_helpers import sum_of_squares
 
@@ -122,6 +122,19 @@ class TestTape:
         assert len(tape()) > 0
         backward(loss)
         assert len(tape()) == 0
+
+    def test_backward_that_raises_leaves_the_tape_empty(self):
+        def fail(g):
+            raise RuntimeError("grad_of failed")
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="grad_of failed"):
+            backward(sum_of_squares(custom_op("fails", x.data.copy(), x, fail)))
+        assert len(tape()) == 0
+        # a later, unrelated backward replays none of the failed pass's nodes
+        y = Tensor([3.0], requires_grad=True)
+        backward(sum_of_squares(y))
+        np.testing.assert_array_equal(y.grad, [6.0])
 
     def test_no_grad_context_suspends_recording(self):
         tape().clear()

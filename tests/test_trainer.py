@@ -17,6 +17,7 @@ from structseg.tensor import NonFiniteError, backward
 from structseg.trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS,
                                TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
                                load_checkpoint, run_ablation, save_checkpoint)
+from memory_helpers import traced_peak
 
 # small geometry so unit tests stay fast
 TINY = dict(height=24, width=24, num_classes=3, n_labeled=4, n_unlabeled=6,
@@ -324,3 +325,20 @@ class TestCheckpointIntegration:
         img = tr.dataset.validation(0).image
         np.testing.assert_array_equal(net.forward(img).data,
                                       tr.student.forward(img).data)
+
+
+class TestStepMemory:
+    """The backward pass frees each node's arrays once it has run. A step
+    that keeps every array until the tape is cleared peaks at about 40.7 MiB
+    at the defaults and 20.4 MiB under the preset; freeing as the pass goes,
+    it peaks at about 24.1 and 11.0 MiB."""
+
+    @pytest.mark.parametrize("config, bound_mib", [
+        (TrainConfig(), 32), (TrainConfig.ablation_preset(), 15)],
+        ids=["default", "preset"])
+    def test_one_step_stays_under_the_memory_bound(self, config, bound_mib):
+        tr = Trainer(config)
+        tr.train_step()  # warm-up: one-off first-step allocations stay out of the peak
+        rec, peak = traced_peak(tr.train_step)
+        assert rec.step == 1 and all(map(np.isfinite, rec.losses))
+        assert peak < bound_mib * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

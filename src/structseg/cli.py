@@ -33,8 +33,8 @@ from .checkpoint import CheckpointError
 from .cutmix import generate_boxes, compose_image
 from .synthdata import save_pgm, save_ppm
 from .tensor import HEAP_KEEPS_FREED_BLOCKS, NonFiniteError
-from .trainer import (ConfigError, EMA_VARIANTS, LOSS_VARIANTS, Evaluation, StepRecord,
-                      TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
+from .trainer import (ConfigError, EMA_VARIANTS, FIELD_KINDS, LOSS_VARIANTS, Evaluation,
+                      StepRecord, TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
                       load_checkpoint, run_ablation, save_checkpoint,
                       validation_predictions)
 from .verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE,
@@ -47,39 +47,18 @@ class UsageError(ValueError):
     """A subcommand argument outside its accepted values (exit 2)."""
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {s!r}")
+_ERROR_KINDS = {ConfigError: "config", UsageError: "usage", CheckpointError: "checkpoint"}
 
 
-def _parse_widths(s: str) -> tuple:
-    return tuple(int(tok) for tok in s.split(",") if tok)
-
-
-def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
-    for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, dest=f.name, type=_parse_bool, default=None)
-        elif f.type == "int":
-            parser.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type == "float":
-            parser.add_argument(flag, dest=f.name, type=float, default=None)
-        elif f.name == "model_widths":
-            parser.add_argument(flag, dest=f.name, type=_parse_widths, default=None)
-        else:
-            parser.add_argument(flag, dest=f.name, type=str, default=None)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def resolve_config(args: argparse.Namespace, defaults: Optional[dict] = None) -> TrainConfig:
     """TrainConfig's defaults (or ``defaults``, such as a checkpoint's
-    config), then the config file, then command-line overrides. A run
-    manifest is accepted wherever a config is: its resolved config is used,
-    which makes any run reproducible from its manifest alone."""
+    config), then the config file, then command-line overrides read by
+    their fields' kinds. A run manifest is accepted wherever a config is:
+    its resolved config is used, which makes any run reproducible from it."""
     base = {}
     if args.config:
         with open(args.config) as f:
@@ -91,8 +70,14 @@ def resolve_config(args: argparse.Namespace, defaults: Optional[dict] = None) ->
             base = base["config"]  # a run manifest
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config} does not hold a JSON config object")
-    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
-                 if getattr(args, f.name) is not None}
+    overrides = {}
+    for f in fields(TrainConfig):
+        text, kind = getattr(args, f.name), FIELD_KINDS[f.type]
+        if text is not None:
+            try:
+                overrides[f.name] = kind.parse(text)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{_flag(f.name)} {kind.phrase}, got {text!r}") from None
     return TrainConfig.from_dict({**(defaults or {}), **base, **overrides})
 
 
@@ -122,6 +107,15 @@ def _peak_rss_mb() -> Optional[float]:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
+def _make_out_dir(path: str) -> Path:
+    """The output directory, made before a subcommand does any work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot make --out-dir {path}: {e.strerror}") from None
+    return Path(path)
+
+
 def _timestamp() -> str:
     return datetime.datetime.now().isoformat(timespec="seconds")
 
@@ -142,8 +136,7 @@ def _eval_header(num_classes: int) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = resolve_config(args)
-    out_dir = Path(args.out_dir or f"runs/train-seed{cfg.seed}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir or f"runs/train-seed{cfg.seed}")
     started = _timestamp()
 
     trainer = Trainer(cfg)
@@ -204,8 +197,8 @@ def _parse_seeds(text: str) -> list:
         seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"--seeds must be comma-separated integers, got {text!r}") from None
-    if min(seeds) < 0:
-        raise UsageError(f"--seeds must be >= 0, got {text!r}")
+    if min(seeds) < 0 or len(seeds) < 3:  # run_ablation's count, checked before --out-dir
+        raise UsageError(f"--seeds must be 3 or more integers >= 0, got {text!r}")
     return seeds
 
 
@@ -221,11 +214,9 @@ def _seed_range(args: argparse.Namespace) -> tuple:
 def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     cfg = resolve_config(args)
+    out_dir = _make_out_dir(args.out_dir or "runs")
     variants = LOSS_VARIANTS if args.grid == "loss" else EMA_VARIANTS
-    rows = run_ablation(cfg, variants, seeds)
-    lines = ablation_csv_rows(rows)
-    out_dir = Path(args.out_dir or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = ablation_csv_rows(run_ablation(cfg, variants, seeds))
     out_path = out_dir / f"ablation-{args.grid}.csv"
     out_path.write_text("\n".join(lines) + "\n")
     for line in lines:
@@ -243,12 +234,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         verification.CORRUPT_OP = None
     if args.corrupt_op is not None and verification.CORRUPTED_NODES == 0:
         raise UsageError(f"--corrupt-op: no checked loss records an op named {args.corrupt_op!r}")
-    ok = True
     for name, err in report.items():
         status = "PASS" if err < GRAD_TOLERANCE else "FAIL"
-        ok = ok and err < GRAD_TOLERANCE
         print(f"{name}: max relative error {err:.3e} ({status}, tolerance {GRAD_TOLERANCE})")
-    return 0 if ok else 1
+    return 0 if all(err < GRAD_TOLERANCE for err in report.values()) else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -276,20 +265,17 @@ def cmd_dump(args: argparse.Namespace) -> int:
     if net is not None and cfg.model_descriptor() != net.descriptor:
         raise ConfigError(f"the config describes the net {cfg.model_descriptor()}, "
                           f"but the checkpoint holds {net.descriptor}")
-    out_dir = Path(args.out_dir or "dumps")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir or "dumps")
     ds = cfg.make_dataset()
-    n = min(args.count, cfg.n_labeled)
-    for i in range(n):
+    for i in range(min(args.count, cfg.n_labeled)):
         s = ds.labeled(i)
         save_ppm(out_dir / f"labeled{i}.ppm", s.image)
         save_pgm(out_dir / f"labeled{i}-labels.pgm", s.labels, cfg.num_classes)
     rng = np.random.default_rng(cfg.seed)
     boxset = generate_boxes(rng, cfg.height, cfg.width, cfg.num_boxes,
                             n_box=cfg.num_active_boxes)
-    ua = ds.unlabeled_image(0)
-    ub = ds.unlabeled_image(1)
-    save_ppm(out_dir / "cutmix-composed.ppm", compose_image(ua, ub, boxset))
+    composed = compose_image(ds.unlabeled_image(0), ds.unlabeled_image(1), boxset)
+    save_ppm(out_dir / "cutmix-composed.ppm", composed)
     save_pgm(out_dir / "cutmix-mask.pgm", boxset.mask.astype(np.int64), 2)
     (out_dir / "cutmix-boxes.json").write_text(boxset.to_json())
     if net is not None:
@@ -311,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out-dir", help="output directory")
-        _add_config_overrides(p)
+        for f in fields(TrainConfig):  # parsed by resolve_config
+            p.add_argument(_flag(f.name), dest=f.name, default=None)
 
     def seed_range(p: argparse.ArgumentParser, count: int) -> None:
         p.add_argument("--seed", type=int, default=0, help="first seed")
@@ -356,14 +343,8 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except CheckpointError as e:
-        print(f"checkpoint error: {e}", file=sys.stderr)
+    except (ConfigError, UsageError, CheckpointError) as e:
+        print(f"{_ERROR_KINDS[type(e)]} error: {e}", file=sys.stderr)
         return 2
     except NonFiniteError as e:
         print(f"numeric abort: {e}", file=sys.stderr)

@@ -5,9 +5,9 @@ global tape in execution order; ``backward`` empties the tape node by node
 in exact reverse order, accumulating dLoss/dTensor into ``.grad`` buffers
 and freeing the arrays only the tape held as it goes. The
 engine is deliberately small: ``conv2d``, ``relu`` and ``softmax`` for the
-net, a same-shape ``add`` and a scalar ``scale`` for the weighted loss
-total, and ``custom_op``, which records a hand-differentiated node of one
-input. Each loss is one such node (see ``losses``).
+net, ``weighted_sum`` for the weighted loss total, and ``custom_op``, which
+records a hand-differentiated node of one input. Each loss is one such node
+(see ``losses``).
 
 All data is 64-bit; shapes are static; execution is single-threaded and
 bit-deterministic for fixed inputs.
@@ -15,10 +15,12 @@ bit-deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -61,13 +63,11 @@ class NonFiniteError(RuntimeError):
     """Raised when a NaN/Inf is detected where finite values are required."""
 
 
+@dataclass(slots=True)
 class TapeNode:
-    __slots__ = ("op", "out", "backward")
-
-    def __init__(self, op: str, out: "Tensor", backward):
-        self.op = op
-        self.out = out
-        self.backward = backward
+    op: str
+    out: Tensor
+    backward: Callable[[np.ndarray], None]
 
 
 class ComputationTape:
@@ -96,19 +96,15 @@ def tape() -> ComputationTape:
     return _TAPE
 
 
-class no_grad:
-    """Context manager that suspends tape recording."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
+@contextlib.contextmanager
+def no_grad():
+    """Suspend tape recording inside the ``with`` block."""
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -140,20 +136,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar: ``+`` adds a same-shape tensor, ``*`` scales by a
-    # python number
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return add(self, other)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 def _record(op: str, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -196,21 +178,22 @@ def backward(loss: Tensor) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` over
+    same-shape tensors, added left to right; each term's gradient is the
+    output's times its weight."""
+    for t in terms[1:]:
+        if t.shape != terms[0].shape:
+            raise ValueError(f"weighted_sum: shapes {terms[0].shape} and {t.shape} differ")
+    total = terms[0].data * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        total = total + t.data * w
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
+        for t, w in zip(terms, weights):
+            _accum(t, g * w)
 
-    return _record("add", out, (a, b), bwd)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
-    return _record("scale", out, (a,), lambda g: _accum(a, g * s))
+    return _record("weighted_sum", Tensor(total), terms, bwd)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,11 +29,82 @@ from .metrics import ConfusionMatrix, miou
 from .model import SegNet, SegNetDescriptor, init_segnet
 from .optim import make_velocity, poly_lr, sgd_step
 from .synthdata import SceneDataset, SceneSample, augment_pair
-from .tensor import NonFiniteError, Tensor, backward, no_grad, parameters_finite, tape
+from .tensor import (NonFiniteError, Tensor, backward, no_grad, parameters_finite, tape,
+                     weighted_sum)
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration key/value."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+class FieldKind(NamedTuple):
+    """How a TrainConfig field of one annotation is read and type-checked."""
+    parse: Callable[[str], object]      # flag text; KeyError or ValueError if foreign
+    accepts: Callable[[object], bool]   # the type check of ``validate``
+    phrase: str                         # what ``validate`` says when it fails
+    from_json: Callable[[object], object] = lambda v: v
+    to_json: Callable[[object], object] = lambda v: v
+
+
+# Keyed by the field's annotation. A float must also be finite.
+FIELD_KINDS: Dict[str, FieldKind] = {
+    "float": FieldKind(float, lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                       "must be a number"),
+    "int": FieldKind(int, _is_int, "must be an integer"),
+    "bool": FieldKind(lambda text: _BOOL_TEXT[text.strip().lower()],
+                      lambda v: isinstance(v, bool), "must be true or false"),
+    "tuple": FieldKind(lambda text: tuple(int(tok) for tok in text.split(",") if tok),
+                       lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+                       "must be a list of integers",
+                       from_json=lambda v: tuple(v) if isinstance(v, list) else v,
+                       to_json=list),
+}
+
+
+def _model_error(c: TrainConfig) -> Optional[str]:
+    try:
+        c.model_descriptor().validate()
+    except ValueError as e:
+        return f"model: {e}"
+
+
+# The range rules, checked in order once every field has passed its type
+# check. Each returns its message when the config breaks it, else a false value.
+RANGE_RULES: Tuple[Callable[[TrainConfig], object], ...] = (
+    lambda c: c.lr0 <= 0 and f"lr0 must be > 0, got {c.lr0}",
+    lambda c: (c.power < 0 or c.weight_decay < 0) and "power and weight_decay must be >= 0",
+    lambda c: not 0.0 <= c.momentum < 1.0 and f"momentum must be in [0, 1), got {c.momentum}",
+    lambda c: ((c.height < 8 or c.width < 8)
+               and f"height and width must be >= 8, got {c.height}x{c.width}"),
+    lambda c: c.num_classes < 2 and f"num_classes must be >= 2, got {c.num_classes}",
+    _model_error,
+    lambda c: (c.seed < 0 or c.data_seed < 0) and "seed and data_seed must be >= 0",
+    lambda c: c.texture_sigma < 0 and f"texture_sigma must be >= 0, got {c.texture_sigma}",
+    lambda c: ((c.checkpoint_every < 0 or c.eval_every < 0)
+               and "checkpoint_every and eval_every must be >= 0"),
+    lambda c: (c.num_boxes > c.height * c.width
+               and f"num_boxes {c.num_boxes} exceeds the {c.height * c.width} pixels"),
+    lambda c: (not 1 <= c.num_active_boxes <= c.num_boxes
+               and f"num_active_boxes {c.num_active_boxes} outside [1, num_boxes={c.num_boxes}]"),
+    lambda c: c.pair_budget < 1 and f"pair_budget must be >= 1, got {c.pair_budget}",
+    lambda c: (c.consistency_weight < 0 or c.structured_weight < 0) and "loss weights must be >= 0",
+    lambda c: ((c.relax_window < 1 or c.relax_window % 2 == 0)
+               and f"relax_window must be odd, got {c.relax_window}"),
+    lambda c: not 0.0 <= c.ema_decay <= 1.0 and f"ema_decay must be in [0, 1], got {c.ema_decay}",
+    lambda c: c.epochs < 0 and f"epochs must be >= 0, got {c.epochs}",
+    lambda c: ((c.n_labeled < 1 or c.n_validation < 1)
+               and "need at least one labeled and one validation scene"),
+    # the unlabeled branch and dump's CutMix preview each read two unlabeled scenes
+    lambda c: c.n_unlabeled < 2 and f"n_unlabeled must be >= 2, got {c.n_unlabeled}",
+)
 
 
 @dataclass
@@ -78,82 +149,28 @@ class TrainConfig:
         """Reject, before any output exists, every value that would fail
         later in the run: wrong types, non-finite floats and values outside
         what the data, box and model code accept."""
-        def is_int(v) -> bool:
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "float":
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ConfigError(f"{f.name} must be a number, got {v!r}")
-                if not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite, got {v}")
-            elif f.type == "int" and not is_int(v):
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-            elif f.type == "bool" and not isinstance(v, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {v!r}")
-        if not (isinstance(self.model_widths, tuple) and all(map(is_int, self.model_widths))):
-            raise ConfigError(f"model_widths must be a list of integers, got {self.model_widths!r}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
-        if self.power < 0 or self.weight_decay < 0:
-            raise ConfigError("power and weight_decay must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.height < 8 or self.width < 8:
-            raise ConfigError(f"height and width must be >= 8, got {self.height}x{self.width}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        try:
-            self.model_descriptor().validate()
-        except ValueError as e:
-            raise ConfigError(f"model: {e}") from None
-        if self.seed < 0 or self.data_seed < 0:
-            raise ConfigError("seed and data_seed must be >= 0")
-        if self.texture_sigma < 0:
-            raise ConfigError(f"texture_sigma must be >= 0, got {self.texture_sigma}")
-        if self.checkpoint_every < 0 or self.eval_every < 0:
-            raise ConfigError("checkpoint_every and eval_every must be >= 0")
-        if self.num_boxes > self.height * self.width:
-            raise ConfigError(
-                f"num_boxes {self.num_boxes} exceeds the {self.height * self.width} pixels")
-        if self.num_active_boxes > self.num_boxes or self.num_active_boxes < 1:
-            raise ConfigError(
-                f"num_active_boxes {self.num_active_boxes} outside [1, num_boxes={self.num_boxes}]")
-        if self.pair_budget < 1:
-            raise ConfigError(f"pair_budget must be >= 1, got {self.pair_budget}")
-        if self.consistency_weight < 0 or self.structured_weight < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.relax_window < 1 or self.relax_window % 2 == 0:
-            raise ConfigError(f"relax_window must be odd, got {self.relax_window}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ConfigError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.n_labeled < 1 or self.n_validation < 1:
-            raise ConfigError("need at least one labeled and one validation scene")
-        if self.unlabeled_branch_active() and self.n_unlabeled < 2:
-            raise ConfigError("unlabeled branch needs at least two unlabeled scenes")
-
-    def unlabeled_branch_active(self) -> bool:
-        """A zero weight switches its loss off entirely."""
-        return self.consistency_weight > 0 or self.structured_weight > 0
+        for f in sorted(fields(self), key=lambda f: f.type == "tuple"):  # model_widths last
+            v, kind = getattr(self, f.name), FIELD_KINDS[f.type]
+            if not kind.accepts(v):
+                raise ConfigError(f"{f.name} {kind.phrase}, got {v!r}")
+            if f.type == "float" and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
+        for rule in RANGE_RULES:
+            message = rule(self)
+            if message:
+                raise ConfigError(message)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["model_widths"] = list(self.model_widths)
-        return d
+        return {f.name: FIELD_KINDS[f.type].to_json(getattr(self, f.name))
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
+        kinds = {f.name: FIELD_KINDS[f.type] for f in fields(cls)}
         for key in d:
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"unknown config key: {key}")
-        d = dict(d)
-        if isinstance(d.get("model_widths"), list):
-            d["model_widths"] = tuple(d["model_widths"])
-        cfg = cls(**d)
+        cfg = cls(**{key: kinds[key].from_json(v) for key, v in d.items()})
         cfg.validate()
         return cfg
 
@@ -256,13 +273,9 @@ class Trainer:
         config.validate()
         self.config = config
         self.dataset = config.make_dataset()
-        streams = np.random.SeedSequence(config.seed).spawn(6)
-        self.rng_model = np.random.default_rng(streams[0])
-        self.rng_labeled = np.random.default_rng(streams[1])
-        self.rng_unlabeled = np.random.default_rng(streams[2])
-        self.rng_augment = np.random.default_rng(streams[3])
-        self.rng_boxes = np.random.default_rng(streams[4])
-        self.rng_pairs = np.random.default_rng(streams[5])
+        (self.rng_model, self.rng_labeled, self.rng_unlabeled, self.rng_augment,
+         self.rng_boxes, self.rng_pairs) = map(
+            np.random.default_rng, np.random.SeedSequence(config.seed).spawn(6))
         self.student = init_segnet(self.rng_model, config.model_descriptor())
         self.velocity = make_velocity(self.student.params)
         self.ema = ema_init(self.student.params, config.ema_decay)
@@ -302,12 +315,11 @@ class Trainer:
         student_logits = self.student.forward(sample.image)
         l_x_t = relaxed_cross_entropy(
             PredictionMap.from_logits(student_logits), sample.labels, cfg.relax_window)
-        loss_t = l_x_t
-        l_c = 0.0
-        l_sc = 0.0
+        terms, weights = [l_x_t], [1.0]
+        l_c = l_sc = 0.0
         pair_counts: List[int] = []
 
-        if cfg.unlabeled_branch_active():
+        if cfg.consistency_weight > 0 or cfg.structured_weight > 0:  # 0 switches a loss off
             ia, ib = self._next_unlabeled_pair()
             pair = augment_pair(self.rng_augment,
                                 self.dataset.unlabeled_image(ia),
@@ -325,15 +337,18 @@ class Trainer:
             student_probs = PredictionMap.from_logits(self.student.forward(mixed))
             if cfg.consistency_weight > 0:
                 l_c_t = consistency_loss(student_probs, guessed)
-                loss_t = loss_t + cfg.consistency_weight * l_c_t
+                terms.append(l_c_t)
+                weights.append(cfg.consistency_weight)
                 l_c = l_c_t.item()
             if cfg.structured_weight > 0:
                 pairs = drop_pairs(boxset, cfg.pair_budget, self.rng_pairs)
                 pair_counts = pairs.counts()
                 l_sc_t = structured_consistency_box(student_probs, guessed, boxset, pairs)
-                loss_t = loss_t + cfg.structured_weight * l_sc_t
+                terms.append(l_sc_t)
+                weights.append(cfg.structured_weight)
                 l_sc = l_sc_t.item()
 
+        loss_t = weighted_sum(terms, weights)
         losses = LossBreakdown(l_x_t.item(), l_c, l_sc, loss_t.item())
         for name, v in losses._asdict().items():
             if not math.isfinite(v):
@@ -380,8 +395,7 @@ def run_ablation(config_base: TrainConfig, variants: Dict[str, dict],
     for name, overrides in variants.items():
         scores = []
         for seed in seeds:
-            cfg = replace(config_base, seed=seed, **overrides)
-            tr = Trainer(cfg)
+            tr = Trainer(replace(config_base, seed=seed, **overrides))
             tr.run()
             scores.append(tr.evaluate().miou)
         rows.append((name, float(np.mean(scores)), scores))
@@ -424,7 +438,7 @@ def load_checkpoint(path) -> Tuple[SegNet, EmaState, dict]:
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: no usable config in the header ({e!r})") from None
     steps = [meta.get(key) for key in ("step", "ema_steps")]
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in steps):
+    if not all(_is_int(n) and n >= 0 for n in steps):
         raise CheckpointError(f"{path}: step and ema_steps must be integers >= 0, "
                               f"got {steps[0]!r} and {steps[1]!r}")
     descriptor = config.model_descriptor()

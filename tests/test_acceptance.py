@@ -136,6 +136,7 @@ def test_criterion_6_fixpoint_zeros_and_detached_teacher():
             f"through {tr.max_steps} steps")
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_ablation():
     base = TrainConfig.ablation_preset()
     assert (base.height, base.width, base.num_classes) == (64, 64, 4)

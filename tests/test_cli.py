@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from structseg.checkpoint import read_blob
-from structseg.cli import main
+from structseg.cli import build_parser, main, resolve_config
 from structseg.cutmix import drop_pairs, generate_boxes
 from structseg.synthdata import save_pgm
 from structseg.tensor import HEAP_KEEPS_FREED_BLOCKS, no_grad
-from structseg.trainer import TrainConfig, load_checkpoint
+from structseg.trainer import TrainConfig, Trainer, load_checkpoint
 from structseg.verification import pair_reduction_report
 
 TINY_CONFIG = {
@@ -488,6 +488,60 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.strip() == f"config error: unknown config key: {key}"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_dump_needs_two_unlabeled_scenes_with_both_weights_zero(self, tmp_path, capsys):
+        # the CutMix preview reads unlabeled scenes 0 and 1 whatever the weights
+        out = tmp_path / "d"
+        assert main(["dump", "--consistency-weight", "0", "--structured-weight", "0",
+                     "--n-unlabeled", "1", "--count", "1", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("config error:") and "n_unlabeled" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--seeds", "0,1,2"], ["dump"]])
+    def test_out_dir_naming_a_file_exits_2_before_any_work(self, tmp_path, tiny_config, capsys,
+                                                           monkeypatch, command):
+        runs = []
+        monkeypatch.setattr(Trainer, "run", lambda self, on_step=None: runs.append(self))
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        assert main([*command, "--config", str(tiny_config), "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("usage error:") and str(taken) in err[0]
+        assert runs == []  # no training ran
+        assert taken.read_text() == "a file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    @pytest.mark.parametrize("config", [TrainConfig(), TrainConfig.ablation_preset()],
+                             ids=["default", "preset"])
+    def test_flags_round_trip_every_setting(self, config):
+        def text(v):
+            if isinstance(v, bool):
+                return str(v).lower()
+            return ",".join(map(str, v)) if isinstance(v, list) else repr(v)
+
+        flags = [part for key, v in config.to_dict().items()
+                 for part in ("--" + key.replace("_", "-"), text(v))]
+        assert len(flags) == 2 * 27
+        for command in ("train", "ablate", "dump"):
+            args = build_parser().parse_args([command, *flags])
+            assert resolve_config(args).config_hash() == config.config_hash()
+
+    @pytest.mark.parametrize("flag,value,kind", [
+        ("--ema-eval", "maybe", "true or false"), ("--model-widths", "8,x", "a list of integers"),
+        ("--epochs", "1.5", "an integer"), ("--lr0", "fast", "a number")],
+        ids=["ema-eval", "model-widths", "epochs", "lr0"])
+    def test_unreadable_flag_value_exits_2_with_one_line(self, tmp_path, capsys,
+                                                         flag, value, kind):
+        assert main(["train", flag, value, "--out-dir", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {flag} must be {kind}, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from structseg.model import PARAM_CAP, SegNetDescriptor, init_segnet
-from structseg.tensor import backward, softmax
+from structseg.tensor import backward, softmax, weighted_sum
 from structseg.verification import max_rel_error, numerical_gradient
 from tape_helpers import sum_of_squares
 
@@ -116,7 +116,7 @@ def test_mean_logit_gradient_matches_finite_differences():
     img = rng.random((6, 6, 2))
 
     def mean_square(logits):
-        return sum_of_squares(logits) * (1.0 / logits.data.size)
+        return weighted_sum([sum_of_squares(logits)], [1.0 / logits.data.size])
 
     backward(mean_square(net.forward(img)))
     grads = [p.grad.copy() for p in net.params]

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import structseg
-from structseg.tensor import (Tensor, add, backward, conv2d, custom_op, no_grad, relu,
-                              scale, softmax, tape)
+from structseg.tensor import (Tensor, backward, conv2d, custom_op, no_grad, relu, softmax,
+                              tape, weighted_sum)
 from structseg.verification import max_rel_error, numerical_gradient
 from tape_helpers import sum_of_squares
 
@@ -55,27 +55,26 @@ class TestForwardExamples:
             softmax(Tensor(np.zeros((2, 2, 0))))
 
     def test_shape_mismatch_names_op_and_shapes(self):
-        with pytest.raises(ValueError, match=r"add.*\(2, 3\).*\(4, 5\)"):
-            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-        with pytest.raises(ValueError, match=r"add.*\(2, 3\).*\(3,\)"):
-            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))  # no broadcasting
+        with pytest.raises(ValueError, match=r"weighted_sum.*\(2, 3\).*\(4, 5\)"):
+            weighted_sum([Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5)))], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"weighted_sum.*\(2, 3\).*\(3,\)"):
+            weighted_sum([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))],
+                         [1.0, 1.0])  # no broadcasting
         with pytest.raises(ValueError, match="conv2d"):
             conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 8))))
 
-    def test_operators_take_numbers_to_scale_and_tensors_to_add(self):
-        x = Tensor([1.0, -2.0])
-        np.testing.assert_array_equal((2 * x).data, [2.0, -4.0])
-        np.testing.assert_array_equal((x * 0.5 + x).data, [1.5, -3.0])
-        for bad in (lambda: x * x, lambda: x + 1.0, lambda: 1.0 + x):
-            with pytest.raises(TypeError):
-                bad()
+    def test_weighted_sum_adds_left_to_right(self):
+        a, b, c = (np.random.default_rng(seed).normal(size=100) for seed in range(3))
+        out = weighted_sum([Tensor(a), Tensor(b), Tensor(c)], [1.0, 20.0, 3.0])
+        assert np.array_equal(out.data, (a + 20.0 * b) + 3.0 * c)
+        assert np.array_equal(weighted_sum([Tensor(a)], [1.0]).data, a)
 
 
 class TestBackwardExamples:
     def test_sum_grad_is_ones(self):
         # backward seeds dL/dL = 1, and d(|x|^2 / 2)/dx = x is ones at x = 1
         x = Tensor(np.ones((3, 4, 2)), requires_grad=True)
-        loss = 0.5 * sum_of_squares(x)
+        loss = weighted_sum([sum_of_squares(x)], [0.5])
         backward(loss)
         assert loss.grad == 1.0
         np.testing.assert_array_equal(x.grad, np.ones((3, 4, 2)))
@@ -96,8 +95,8 @@ class TestBackwardExamples:
         y0 = rng.normal(size=(4, 4, 3))
 
         def loss_of(x):
-            d = softmax(x) + -1.0 * softmax(Tensor(y0))
-            return sum_of_squares(d) * (1.0 / d.data.size)
+            d = weighted_sum([softmax(x), softmax(Tensor(y0))], [1.0, -1.0])
+            return weighted_sum([sum_of_squares(d)], [1.0 / d.data.size])
 
         xt = Tensor(x0, requires_grad=True)
         backward(loss_of(xt))
@@ -106,14 +105,14 @@ class TestBackwardExamples:
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor([2.0], requires_grad=True)
-        backward(sum_of_squares(x + x))  # d/dx (2x)^2 = 8x
+        backward(sum_of_squares(weighted_sum([x, x], [1.0, 1.0])))  # d/dx (2x)^2 = 8x
         np.testing.assert_array_equal(x.grad, [16.0])
 
 
 class TestTape:
     def test_no_recording_without_requires_grad(self):
         tape().clear()
-        add(Tensor([1.0]), Tensor([2.0]))
+        weighted_sum([Tensor([1.0]), Tensor([2.0])], [1.0, 1.0])
         assert len(tape()) == 0
 
     def test_tape_cleared_after_backward(self):
@@ -163,7 +162,6 @@ def _away_from_zero(rng, shape):
 UNARY_CASES = [
     ("relu", lambda t: relu(t), _away_from_zero),
     ("softmax", lambda t: softmax(t), _away_from_zero),
-    ("scale", lambda t: scale(t, -2.5), _away_from_zero),
 ]
 
 
@@ -182,17 +180,19 @@ def test_unary_op_gradients(name, builder, make):
         assert max_rel_error(analytic, numerical_gradient(f, x0)) < 1e-4, f"{name} seed {seed}"
 
 
-def test_add_gradients():
+def test_weighted_sum_gradients():
+    weights = [1.0, -2.5, 0.75]
     for seed in range(7):
         rng = np.random.default_rng(seed)
-        a0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        ta = Tensor(a0, requires_grad=True)
-        tb = Tensor(b0, requires_grad=True)
-        backward(sum_of_squares(add(ta, tb)))
-        fa = lambda x: sum_of_squares(add(Tensor(x), Tensor(b0))).item()
-        fb = lambda x: sum_of_squares(add(Tensor(a0), Tensor(x))).item()
-        assert max_rel_error(ta.grad, numerical_gradient(fa, a0)) < 1e-4
-        assert max_rel_error(tb.grad, numerical_gradient(fb, b0)) < 1e-4
+        arrays = [rng.normal(size=(3, 4)) for _ in weights]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        backward(sum_of_squares(weighted_sum(tensors, weights)))
+        for i, t in enumerate(tensors):
+            def f(x, i=i):
+                terms = [Tensor(x if j == i else a) for j, a in enumerate(arrays)]
+                return sum_of_squares(weighted_sum(terms, weights)).item()
+
+            assert max_rel_error(t.grad, numerical_gradient(f, arrays[i])) < 1e-4
 
 
 # ids read stride-padding-fill; conv2d is stride 1 and pads with zeros

@@ -63,6 +63,9 @@ class TestConfig:
                 ("power", -1.0, "power"), ("weight_decay", -0.1, "weight_decay")]:
             with pytest.raises(ConfigError, match=message):
                 _cfg(**{field: value}).validate()
+        # dump's CutMix preview reads two unlabeled scenes, branch on or off
+        with pytest.raises(ConfigError, match="n_unlabeled"):
+            _cfg(consistency_weight=0.0, structured_weight=0.0, n_unlabeled=1).validate()
 
     def test_hash_is_stable_and_key_order_free(self):
         cfg = _cfg(seed=1)
@@ -181,6 +184,20 @@ class TestStepMechanics:
             expected = (lb.l_x + cfg.consistency_weight * lb.l_c
                         + cfg.structured_weight * lb.l_sc)
             assert abs(lb.l_tot - expected) <= 1e-12 * expected
+
+    def test_one_step_records_one_node_for_the_weighted_total(self, monkeypatch):
+        ops = []
+        real_backward = trainer_mod.backward
+
+        def spy(loss):
+            ops.extend(node.op for node in trainer_mod.tape().nodes)
+            real_backward(loss)
+
+        monkeypatch.setattr(trainer_mod, "backward", spy)
+        Trainer(_cfg(seed=4, model_widths=(6, 6, 6))).train_step()
+        forward = ["conv2d", "relu"] * 3 + ["conv2d", "softmax"]
+        assert ops == (forward + ["relaxed_ce"] + forward
+                       + ["consistency", "structured_box", "weighted_sum"])
 
     def test_pair_counts_respect_budget(self):
         cfg = _cfg(seed=2, pair_budget=17)

@@ -145,6 +145,11 @@ class TrainConfig:
     checkpoint_every: int = 0
     eval_every: int = 0
 
+    def __post_init__(self) -> None:
+        # one form in memory however a value came in: a list of widths is a tuple
+        for f in fields(self):
+            setattr(self, f.name, FIELD_KINDS[f.type].from_json(getattr(self, f.name)))
+
     def validate(self) -> None:
         """Reject, before any output exists, every value that would fail
         later in the run: wrong types, non-finite floats and values outside
@@ -166,11 +171,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kinds = {f.name: FIELD_KINDS[f.type] for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         for key in d:
-            if key not in kinds:
+            if key not in names:
                 raise ConfigError(f"unknown config key: {key}")
-        cfg = cls(**{key: kinds[key].from_json(v) for key, v in d.items()})
+        cfg = cls(**d)
         cfg.validate()
         return cfg
 

@@ -1,12 +1,13 @@
 """Scene generator, augmentation pipeline, dataset splits, image dumps."""
 
-import gc
-import weakref
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structseg import synthdata
+import scene_reference
 from structseg.synthdata import (SceneDataset, augment, augment_pair,
                                  generate_scene, rasterize_labels, save_pgm,
                                  save_ppm, sample_scene_shapes, sample_seed)
@@ -79,6 +80,47 @@ class TestGenerateScene:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             generate_scene(0, 16, 16, 1)
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+class TestSceneBits:
+    """The broadcast rasterizer and the palette painter give the bits of the
+    per-shape-grid, per-class-mask painter in ``scene_reference``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), height=st.integers(8, 96),
+           width=st.integers(8, 96), num_classes=st.integers(2, 19),
+           n_shapes=st.one_of(st.none(), st.integers(0, 8)),
+           sigma=st.sampled_from([0.0, 0.08, 0.3]))
+    def test_matches_the_reference_painter(self, seed, height, width, num_classes,
+                                           n_shapes, sigma):
+        got = generate_scene(seed, height, width, num_classes, n_shapes=n_shapes,
+                             texture_sigma=sigma)
+        ref = scene_reference.generate_scene(seed, height, width, num_classes,
+                                             n_shapes=n_shapes, texture_sigma=sigma)
+        assert (got.image.dtype, got.labels.dtype) == (ref.image.dtype, ref.labels.dtype)
+        assert got.image.tobytes() == ref.image.tobytes()
+        assert got.labels.tobytes() == ref.labels.tobytes()
+
+    def test_frozen_scenes(self):
+        # sha256 of image then labels bytes, from the per-shape-grid generator
+        ds = SceneDataset(100)
+        labeled, validation = ds.labeled(3), ds.validation(5)
+        big = generate_scene(2024, 256, 512, 19)
+        assert _sha256(labeled.image, labeled.labels) == \
+            "6042f43673eddfca0d7c16142e955d520854f1bca973a0d39c6d869bf15cffca"
+        assert _sha256(ds.unlabeled_image(17)) == \
+            "516b1c0ba79ca1e29e0d403f0a0c516b8ce096c2a96e62e8d8f219b6111c54a9"
+        assert _sha256(validation.image, validation.labels) == \
+            "31b65ba5d17fba68240334daaef56a06365ae769a6ad488763d313c55e6c3379"
+        assert _sha256(big.image, big.labels) == \
+            "1285fba57d87e9ad4a1cfebbfdc9e5ec8ebdfebeb289c29e570c1e4d0f506fbf"
 
 
 class TestAugment:
@@ -170,37 +212,17 @@ class TestDataset:
         with pytest.raises(IndexError):
             ds.validation(2)
 
-    def test_validation_scenes_are_not_kept(self):
-        ds = SceneDataset(3, height=16, width=16, n_labeled=2, n_unlabeled=2,
+    def test_rereading_a_scene_gives_equal_arrays(self):
+        ds = SceneDataset(3, height=16, width=24, n_labeled=2, n_unlabeled=2,
                           n_validation=2)
-        first, again = ds.validation(1), ds.validation(1)
-        np.testing.assert_array_equal(first.image, again.image)
-        np.testing.assert_array_equal(first.labels, again.labels)
-        scenes = [weakref.ref(first), weakref.ref(again)]
-        labeled = weakref.ref(ds.labeled(0))
-        del first, again
-        gc.collect()
-        assert all(ref() is None for ref in scenes)
-        assert labeled() is ds.labeled(0)  # the training splits stay cached
-
-    def test_unlabeled_scenes_keep_only_the_image(self, monkeypatch):
-        label_maps = []
-
-        def generate_and_watch(*args, **kwargs):
-            scene = generate_scene(*args, **kwargs)
-            label_maps.append(weakref.ref(scene.labels))
-            return scene
-
-        monkeypatch.setattr(synthdata, "generate_scene", generate_and_watch)
-        ds = SceneDataset(5, height=16, width=16, n_labeled=1, n_unlabeled=3,
-                          n_validation=1)
-        image = ds.unlabeled_image(2)
-        gc.collect()
-        assert len(label_maps) == 1 and label_maps[0]() is None
-        assert ds.unlabeled_image(2) is image and len(label_maps) == 1
-        np.testing.assert_array_equal(
-            image, generate_scene(synthdata.sample_seed(5, synthdata.SPLIT_UNLABELED, 2),
-                                  16, 16, 4).image)
+        for read in (lambda: ds.labeled(1), lambda: ds.validation(1)):
+            first, again = read(), read()
+            assert first is not again
+            np.testing.assert_array_equal(first.image, again.image)
+            np.testing.assert_array_equal(first.labels, again.labels)
+        first, again = ds.unlabeled_image(1), ds.unlabeled_image(1)
+        assert first is not again
+        np.testing.assert_array_equal(first, again)
 
     def test_sample_seed_is_stable(self):
         # frozen: SeedSequence output must not drift across runs

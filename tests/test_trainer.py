@@ -1,7 +1,10 @@
 """Training loop: branch toggles, determinism, schedules, evaluation."""
 
 import copy
+import gc
 import json
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from structseg import synthdata
 from structseg import trainer as trainer_mod
 from structseg.losses import PredictionMap, relaxed_cross_entropy
 from structseg.model import SegNet
@@ -66,6 +70,14 @@ class TestConfig:
         # dump's CutMix preview reads two unlabeled scenes, branch on or off
         with pytest.raises(ConfigError, match="n_unlabeled"):
             _cfg(consistency_weight=0.0, structured_weight=0.0, n_unlabeled=1).validate()
+
+    def test_list_and_tuple_widths_are_one_config(self):
+        as_list, as_tuple = _cfg(model_widths=[8, 8]), _cfg(model_widths=(8, 8))
+        as_list.validate()
+        assert as_list == as_tuple and as_list.config_hash() == as_tuple.config_hash()
+        with pytest.raises(ConfigError,
+                           match=r"^model_widths must be a list of integers, got \(8, 'x'\)$"):
+            _cfg(model_widths=[8, "x"]).validate()
 
     def test_hash_is_stable_and_key_order_free(self):
         cfg = _cfg(seed=1)
@@ -342,6 +354,43 @@ class TestCheckpointIntegration:
         img = tr.dataset.validation(0).image
         np.testing.assert_array_equal(net.forward(img).data,
                                       tr.student.forward(img).data)
+
+
+class TestScenesAreNotKept:
+    """Every step generates its labeled scene and its two unlabeled images
+    and keeps none of them."""
+
+    def test_generated_arrays_die_after_the_steps(self, monkeypatch):
+        refs, generate = [], synthdata.generate_scene
+
+        def generate_and_watch(*args, **kwargs):
+            scene = generate(*args, **kwargs)
+            refs.extend([weakref.ref(scene.image), weakref.ref(scene.labels)])
+            return scene
+
+        monkeypatch.setattr(synthdata, "generate_scene", generate_and_watch)
+        tr = Trainer(_cfg())
+        for _ in range(3):
+            tr.train_step()
+        gc.collect()
+        assert len(refs) == 3 * 3 * 2
+        assert all(ref() is None for ref in refs)
+
+    def test_memory_does_not_grow_over_preset_steps(self):
+        tr = Trainer(TrainConfig.ablation_preset())
+        tr.train_step()  # warm-up: one-off first-step allocations stay out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                tr.train_step()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        one_image = 64 * 64 * 3 * 8
+        assert grown < one_image, f"grew {grown / 2 ** 10:.1f} KiB over 30 steps"
 
 
 class TestStepMemory:

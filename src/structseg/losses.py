@@ -88,38 +88,38 @@ def relaxed_cross_entropy(probs: PredictionMap, labels: Union[np.ndarray, Window
     if target.window != window:
         raise ValueError(
             f"relaxed_cross_entropy: target built for window {target.window}, got {window}")
-    if target.mask.shape != probs.shape:
+    if target.mask.shape != probs.shape[-3:]:
         raise ValueError(
             f"relaxed_cross_entropy: labels {target.labels.shape} of "
             f"{target.mask.shape[2]} classes do not match predictions {probs.shape}")
     valid, mask = target.valid, target.mask
     s = -target.inv_valid
-    in_window = (probs.probs.data * mask).sum(axis=2)
+    in_window = (probs.probs.data * mask).sum(axis=-1)
     clamped = np.maximum(in_window, LOG_FLOOR)
 
     def grad_of(g):
         # zero where the floor binds, as the clamp's derivative is
         return (g * s * valid / clamped * (in_window > LOG_FLOOR))[:, :, None] * mask
 
-    value = (np.log(clamped) * valid).sum() * s
+    value = (np.log(clamped) * valid).sum(axis=(-2, -1)) * s
     return custom_op("relaxed_ce", value, probs.probs, grad_of)
 
 
 def consistency_loss(student: PredictionMap, guessed: PredictionMap) -> Tensor:
     """Mean over pixels of the squared L2 distance between student and
     guessed class vectors."""
-    if student.shape != guessed.shape:
+    if student.shape[-3:] != guessed.shape:
         raise ValueError(f"consistency_loss: shapes {student.shape} and {guessed.shape} differ")
     if guessed.probs.requires_grad:
         raise ValueError("consistency_loss: guessed label must not carry gradient")
     d = student.probs.data - guessed.probs.data
     c = 1.0 / (student.height * student.width)
-    return custom_op("consistency", (d * d).sum() * c, student.probs,
+    return custom_op("consistency", (d * d).sum(axis=(-3, -2, -1)) * c, student.probs,
                      lambda g: g * c * 2.0 * d)
 
 
 def _unit_rows(p: np.ndarray):
-    norms = np.sqrt((p * p).sum(axis=1, keepdims=True))
+    norms = np.sqrt((p * p).sum(axis=-1, keepdims=True))
     return p / norms, norms
 
 
@@ -149,24 +149,25 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
     squared difference of pair cosine similarities between student and
     guessed predictions over its pairs (all m*m of them, or the sampled
     ones), averaged over boxes with at least one pair."""
-    if student.shape != guessed.shape:
+    if student.shape[-3:] != guessed.shape:
         raise ValueError(
             f"structured_consistency_box: shapes {student.shape} and {guessed.shape} differ")
     if guessed.probs.requires_grad:
         raise ValueError("structured_consistency_box: guessed label must not carry gradient")
     if (student.height, student.width) != (boxset.height, boxset.width):
         raise ValueError(
-            f"structured_consistency_box: predictions {student.shape[:2]} do not "
+            f"structured_consistency_box: predictions {student.shape[-3:-1]} do not "
             f"match boxes {(boxset.height, boxset.width)}")
     lay = pairs.layout
     if lay.n_boxes == 0:
         logger.warning("structured_consistency_box: every active box has an "
                        "empty pair list, returning 0")
-        return Tensor(0.0)
+        return Tensor(np.zeros(student.shape[:-3]))
     # The double average (over boxes, then over a box's pairs) is a linear
     # weighting, so every box adds its weighted term to one node.
     exact, sampled = len(lay.box_w) > 0, len(lay.pair_w) > 0
-    s_hat, s_norms = _unit_rows(student.probs.data.reshape(-1, student.num_classes))
+    s_hat, s_norms = _unit_rows(student.probs.data.reshape(
+        *student.shape[:-3], -1, student.num_classes))
     t_hat, _ = _unit_rows(guessed.probs.data.reshape(-1, guessed.num_classes))
     terms = []
     if exact:
@@ -176,18 +177,21 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         # matrices only, and exactly 0 at S == T.
         grams = []
         for region in lay.regions:
-            s_b, t_b = s_hat[region], t_hat[region]
+            s_b, t_b = s_hat[..., region, :], t_hat[region]
             x, y = s_b - t_b, s_b + t_b
-            grams.append((region, x, y, y.T @ x, x.T @ x, y.T @ y))
-        per_box = [(yx * yx.T).sum() + (xx * yy).sum() for _, _, _, yx, xx, yy in grams]
-        terms.append(0.5 * (lay.box_w @ np.array(per_box)))
+            xt, yt = x.swapaxes(-1, -2), y.swapaxes(-1, -2)
+            grams.append((region, x, y, yt @ x, xt @ x, yt @ y))
+        per_box = np.stack([(yx * yx.swapaxes(-1, -2)).sum(axis=(-2, -1))
+                            + (xx * yy).sum(axis=(-2, -1)) for *_, yx, xx, yy in grams], -1)
+        # a row times a column, which keeps a dot product's bits on a stack too
+        terms.append(0.5 * np.matmul(per_box[..., None, :], lay.box_w[:, None])[..., 0, 0])
     if sampled:
         # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count
-        s_i, s_j = s_hat.take(lay.i, axis=0), s_hat.take(lay.j, axis=0)
-        d = (np.einsum("nc,nc->n", s_i, s_j)
+        s_i, s_j = s_hat.take(lay.i, axis=-2), s_hat.take(lay.j, axis=-2)
+        d = (np.einsum("...nc,...nc->...n", s_i, s_j)
              - np.einsum("nc,nc->n", t_hat.take(lay.i, axis=0), t_hat.take(lay.j, axis=0)))
         delta = s_j - s_i  # all the backward pass reads of s_i and s_j
-        terms.append((d * d * lay.pair_w).sum())
+        terms.append((d * d * lay.pair_w).sum(axis=-1))
 
     def grad_of(g):
         g_hat = np.zeros_like(s_hat)

@@ -11,19 +11,20 @@ IGNORE = -1
 
 
 class PredictionMap:
-    """H x W x C field of per-pixel class probabilities.
+    """H x W x C field of per-pixel class probabilities, or a stack of
+    them (..., H, W, C).
 
-    Wraps the tensor produced by a channel softmax; every pixel's class
-    vector must be non-negative and sum to 1 within 1e-9.
+    Wraps the tensor produced by a channel softmax; every entry must be
+    >= 0 and every pixel's class vector sum to 1 within 1e-9, so NaN and
+    Inf fail.
     """
 
     def __init__(self, probs: Tensor, validate: bool = True):
-        if probs.data.ndim != 3:
-            raise ValueError(f"PredictionMap: expects (H,W,C), got {probs.shape}")
-        if validate:
-            sums = probs.data.sum(axis=2)
-            if np.any(probs.data < 0.0) or np.max(np.abs(sums - 1.0)) > 1e-9:
-                raise ValueError("PredictionMap: pixel class vectors must be a probability simplex")
+        if probs.data.ndim < 3:
+            raise ValueError(f"PredictionMap: expects (..., H,W,C), got {probs.shape}")
+        p = probs.data
+        if validate and not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):
+            raise ValueError("PredictionMap: pixel class vectors must be a probability simplex")
         self.probs = probs
 
     @classmethod
@@ -32,15 +33,15 @@ class PredictionMap:
 
     @property
     def height(self) -> int:
-        return self.probs.data.shape[0]
+        return self.probs.data.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.probs.data.shape[1]
+        return self.probs.data.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.probs.data.shape[2]
+        return self.probs.data.shape[-1]
 
     @property
     def shape(self) -> tuple:

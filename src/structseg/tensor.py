@@ -220,8 +220,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def custom_op(op: str, out_data: np.ndarray, a: Tensor, grad_of) -> Tensor:
     """Record a hand-differentiated op of one input: ``out_data`` is its
-    value and ``grad_of(g)`` the gradient of ``a`` given the output's."""
+    value and ``grad_of(g)`` the gradient of ``a`` given the output's; a
+    recorded output is a scalar (a loss of a stack of maps is value only)."""
     out = Tensor(out_data)
+    if _GRAD_ENABLED and a.requires_grad and out.data.size != 1:
+        raise ValueError(f"{op}: output of shape {out.shape} cannot carry gradient")
     return _record(op, out, (a,), lambda g: _accum(a, grad_of(g)))
 
 

@@ -4,7 +4,8 @@ comparison, shared by the CLI and the test suite.
 The numerical oracle is central differences at h=1e-3 in float64; the
 reported error for a loss is max|analytic - numeric| normalized by the
 largest gradient component, so near-zero entries are judged against the
-gradient's scale rather than against themselves.
+gradient's scale rather than against themselves. The losses accept
+stacks of maps, so one call gives the differences of a whole input slice.
 """
 
 from __future__ import annotations
@@ -30,17 +31,19 @@ CORRUPT_OP: Optional[str] = None
 CORRUPTED_NODES = 0
 
 
-def numerical_gradient(f: Callable[[np.ndarray], float], x0: np.ndarray,
+def numerical_gradient(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
                        h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of an array."""
-    g = np.zeros_like(x0, dtype=np.float64)
-    flat = x0.ravel()
-    for k in range(flat.size):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp.ravel()[k] += h
-        xm.ravel()[k] -= h
-        g.ravel()[k] = (f(xp) - f(xm)) / (2.0 * h)
+    """Central-difference gradient of a scalar function of an array. ``f``
+    maps a stack (k, *x0.shape) to its k values; each call takes the rows
+    x0 + h e_j, then x0 - h e_j, for the n entries j of one slice x0[i]."""
+    g = np.empty(x0.shape)
+    n = x0[0].size
+    k = np.arange(n)
+    for i in range(len(x0)):
+        stack = np.repeat(x0[None], 2 * n, axis=0)
+        stack.reshape(2, n, len(x0), n)[:, k, i, k] += [[h], [-h]]
+        values = f(stack)
+        g[i] = ((values[:n] - values[n:]) / (2.0 * h)).reshape(g[i].shape)
     return g
 
 
@@ -79,8 +82,8 @@ def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
     backward(loss)
     analytic = t.grad.copy()
 
-    def f(x: np.ndarray) -> float:
-        return loss_of_logits(Tensor(x)).item()
+    def f(x: np.ndarray) -> np.ndarray:
+        return loss_of_logits(Tensor(x)).data
 
     return max_rel_error(analytic, numerical_gradient(f, logits0), loss.item())
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structseg.cutmix import (Box, BoxPairs, PairSet, boxset_from_boxes,
                               drop_pairs, generate_boxes)
@@ -572,7 +574,7 @@ class TestExactGramsPerBox:
 
         def f(x):
             return structured_consistency_box(
-                PredictionMap.from_logits(Tensor(x)), g, bs, pairs).item()
+                PredictionMap.from_logits(Tensor(x)), g, bs, pairs).data
 
         assert max_rel_error(analytic, numerical_gradient(f, logits0), value) < GRAD_TOLERANCE
 
@@ -627,3 +629,88 @@ class TestPairLayout:
             for _ in range(3):
                 assert structured_consistency_box(s, s.detach(), bs, pairs).item() == 0.0
         assert sum("empty pair list" in r.message for r in caplog.records) == 3
+
+
+# -- stacks of maps ----------------------------------------------------------
+
+def _stacked_and_alone(loss_of, logits):
+    """The loss of a stack of maps, and of each map alone, as bytes."""
+    stacked = loss_of(PredictionMap.from_logits(Tensor(logits))).data
+    assert stacked.shape == logits.shape[:1]
+    alone = np.array([loss_of(PredictionMap.from_logits(Tensor(x))).item() for x in logits])
+    return stacked.tobytes(), alone.tobytes()
+
+
+STACKS = dict(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 7))
+
+
+class TestStacksOfMaps:
+    """Each loss on a stack of maps (..., H, W, C) equals, byte for byte,
+    the loss of each map alone: the form ``numerical_gradient`` feeds."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(window=st.sampled_from([1, 3]), h=st.integers(1, 9), w=st.integers(1, 9),
+           **STACKS)
+    def test_relaxed_ce(self, seed, batch, window, h, w):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(IGNORE, 3, size=(h, w))
+        labels[0, 0] = 0
+        target = WindowTarget(labels, window, 3)
+        stacked, alone = _stacked_and_alone(
+            lambda pm: relaxed_cross_entropy(pm, target, window),
+            rng.normal(size=(batch, h, w, 3)))
+        assert stacked == alone
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), c=st.sampled_from([3, 19]), **STACKS)
+    def test_consistency(self, seed, batch, h, w, c):
+        rng = np.random.default_rng(seed)
+        guessed = _probs(rng, (h, w, c))
+        stacked, alone = _stacked_and_alone(lambda pm: consistency_loss(pm, guessed),
+                                            rng.normal(size=(batch, h, w, c)))
+        assert stacked == alone
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["exact", "sampled", "mixed"]), c=st.sampled_from([3, 19]),
+           **STACKS)
+    def test_structured(self, seed, batch, kind, c):
+        rng = np.random.default_rng(seed)
+        guessed = _probs(rng, (8, 8, c))
+        if kind == "mixed":
+            # 32 pixels sample from budget 16, 4 pixels fit it
+            bs = boxset_from_boxes([Box(0, 0, 8, 4, 1), Box(5, 5, 2, 2, 2)], 8, 8)
+            pairs = drop_pairs(bs, 16, rng)
+        else:
+            bs = generate_boxes(rng, 8, 8, 4, n_box=2)
+            pairs = drop_pairs(bs, 64 ** 2, rng)
+            pairs = _explicit(pairs) if kind == "sampled" else pairs
+        kinds = {"exact": {True}, "sampled": {False}, "mixed": {True, False}}[kind]
+        assert {bp.q is None for bp in pairs.per_box if len(bp) > 0} <= kinds
+        stacked, alone = _stacked_and_alone(
+            lambda pm: structured_consistency_box(pm, guessed, bs, pairs),
+            rng.normal(size=(batch, 8, 8, c)))
+        assert stacked == alone
+
+    def test_structured_with_no_pairs_is_zero_per_map(self):
+        bs = boxset_from_boxes([Box(0, 0, 2, 2, 1)], 8, 8)
+        pairs = PairSet([BoxPairs(1, np.empty(0, dtype=np.int64))], 10)
+        rng = np.random.default_rng(2)
+        s = PredictionMap.from_logits(Tensor(rng.normal(size=(3, 8, 8, 3))))
+        loss = structured_consistency_box(s, _probs(rng, (8, 8, 3)), bs, pairs)
+        np.testing.assert_array_equal(loss.data, np.zeros(3))
+
+    @pytest.mark.parametrize("loss_name", ["relaxed_ce", "consistency", "structured_box"])
+    def test_stack_carrying_gradient_is_refused(self, loss_name):
+        rng = np.random.default_rng(4)
+        s, _ = _probs_grad(rng, (2, 8, 8, 3))
+        g = _probs(rng, (8, 8, 3))
+        bs = boxset_from_boxes([Box(0, 0, 8, 4, 1), Box(5, 5, 2, 2, 2)], 8, 8)
+        loss_of = {"relaxed_ce": lambda: relaxed_cross_entropy(s, np.zeros((8, 8), int), 3),
+                   "consistency": lambda: consistency_loss(s, g),
+                   "structured_box": lambda: structured_consistency_box(
+                       s, g, bs, drop_pairs(bs, 16, rng))}[loss_name]
+        try:
+            with pytest.raises(ValueError, match=f"{loss_name}: output of shape \\(2,\\)"):
+                loss_of()
+        finally:
+            tape().clear()

@@ -6,6 +6,7 @@ import pytest
 from structseg.model import PARAM_CAP, SegNetDescriptor, init_segnet
 from structseg.tensor import backward, softmax, weighted_sum
 from structseg.verification import max_rel_error, numerical_gradient
+from fd_helpers import per_row
 from tape_helpers import sum_of_squares
 
 
@@ -131,5 +132,5 @@ def test_mean_logit_gradient_matches_finite_differences():
                 q.data[:] = v
             return out
 
-        err = max_rel_error(grads[k], numerical_gradient(f, values[k]))
+        err = max_rel_error(grads[k], numerical_gradient(per_row(f), values[k]))
         assert err < 1e-4, f"param {k}"

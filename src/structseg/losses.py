@@ -29,7 +29,7 @@ import numpy as np
 
 from .cutmix import BoxSet, PairSet
 from .maps import IGNORE, PredictionMap, check_label_map
-from .tensor import Tensor, custom_op
+from .tensor import Tensor, class_sum, custom_op
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ def relaxed_cross_entropy(probs: PredictionMap, labels: Union[np.ndarray, Window
             f"{target.mask.shape[2]} classes do not match predictions {probs.shape}")
     valid, mask = target.valid, target.mask
     s = -target.inv_valid
-    in_window = (probs.probs.data * mask).sum(axis=-1)
+    in_window = class_sum(probs.probs.data * mask)[..., 0]
     clamped = np.maximum(in_window, LOG_FLOOR)
 
     def grad_of(g):
@@ -119,7 +119,7 @@ def consistency_loss(student: PredictionMap, guessed: PredictionMap) -> Tensor:
 
 
 def _unit_rows(p: np.ndarray):
-    norms = np.sqrt((p * p).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(class_sum(p * p))
     return p / norms, norms
 
 
@@ -212,7 +212,7 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
                 g_hat[:, c] += np.bincount(idx, weights=np.concatenate(
                     [gd * delta[:, c], -gd * delta[:, c]]), minlength=len(g_hat))
         # back through the row normalization s / |s|, once for both groups
-        grad = (g_hat - s_hat * (s_hat * g_hat).sum(axis=1, keepdims=True)) / s_norms
+        grad = (g_hat - s_hat * class_sum(s_hat * g_hat)) / s_norms
         return grad.reshape(student.probs.data.shape)
 
     value = terms[0] if len(terms) == 1 else terms[0] + terms[1]

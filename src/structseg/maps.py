@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, softmax
+from .tensor import Tensor, class_sum, softmax
 
 # Sentinel for pixels excluded from supervision and scoring.
 IGNORE = -1
@@ -23,13 +23,13 @@ class PredictionMap:
         if probs.data.ndim < 3:
             raise ValueError(f"PredictionMap: expects (..., H,W,C), got {probs.shape}")
         p = probs.data
-        if validate and not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9)):
+        if validate and not (np.all(p >= 0.0) and np.all(np.abs(class_sum(p) - 1.0) <= 1e-9)):
             raise ValueError("PredictionMap: pixel class vectors must be a probability simplex")
         self.probs = probs
 
     @classmethod
     def from_logits(cls, logits: Tensor) -> "PredictionMap":
-        return cls(softmax(logits, axis=-1), validate=False)
+        return cls(softmax(logits), validate=False)
 
     @property
     def height(self) -> int:

@@ -32,7 +32,8 @@ class ConfusionMatrix:
             raise ValueError(f"accumulate: predicted class outside [0, {self.num_classes})")
         if t.size and (t.min() < 0 or t.max() >= self.num_classes):
             raise ValueError(f"accumulate: truth class outside [0, {self.num_classes})")
-        np.add.at(self.counts, (t, p), 1)
+        c = self.num_classes
+        self.counts += np.bincount(t.astype(np.int64) * c + p, minlength=c * c).reshape(c, c)
 
 
 def miou(cm: ConfusionMatrix) -> Tuple[List[float], float]:

@@ -7,7 +7,8 @@ and freeing the arrays only the tape held as it goes. The
 engine is deliberately small: ``conv2d``, ``relu`` and ``softmax`` for the
 net, ``weighted_sum`` for the weighted loss total, and ``custom_op``, which
 records a hand-differentiated node of one input. Each loss is one such node
-(see ``losses``).
+(see ``losses``). ``class_sum`` and ``class_max`` are the class-axis
+reductions that softmax and the losses share.
 
 All data is 64-bit; shapes are static; execution is single-threaded and
 bit-deterministic for fixed inputs.
@@ -197,23 +198,45 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); the backward reads the input ``a`` to mask the gradient."""
     out = Tensor(np.maximum(a.data, 0.0))
-    mask = a.data > 0.0
-    return _record("relu", out, (a,), lambda g: _accum(a, g * mask))
+    return _record("relu", out, (a,), lambda g: _accum(a, g * (a.data > 0.0)))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax over the class axis."""
-    if a.data.shape[axis] == 0:
-        raise ValueError(f"softmax: axis {axis} of shape {a.shape} has extent 0")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+def _class_reduce(ufunc, a: np.ndarray, start) -> np.ndarray:
+    # numpy reduces a last axis shorter than 8 left to right, one inner loop
+    # per pixel, and from 8 on in pairwise blocks of 8: below 8, C - 1 calls
+    # over (..., 1) slices repeat its order, so its bits, without that loop
+    c = a.shape[-1]
+    if not 0 < c < 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = start(a[..., :1])
+    for k in range(1, c):
+        ufunc(out, a[..., k:k + 1], out=out)
+    return out
+
+
+def class_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``, bit for bit up to a NaN's sign."""
+    # numpy's sum starts from +0.0, so class vectors of -0.0 sum to 0.0
+    return _class_reduce(np.add, a, lambda first: first + 0.0)
+
+
+def class_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, bit for bit up to a NaN's sign."""
+    return _class_reduce(np.maximum, a, np.copy)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last (class) axis."""
+    if a.data.shape[-1] == 0:
+        raise ValueError(f"softmax: class axis of shape {a.shape} has extent 0")
+    e = np.exp(a.data - class_max(a.data))
+    s = e / class_sum(e)
     out = Tensor(s)
 
     def bwd(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(a, s * (g - dot))
+        _accum(a, s * (g - class_sum(g * s)))
 
     return _record("softmax", out, (a,), bwd)
 
@@ -279,7 +302,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     out_data = _correlate(xp, kernel.data)
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
     out = Tensor(out_data)
 
     def bwd(g):

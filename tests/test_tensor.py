@@ -10,10 +10,14 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import structseg
-from structseg.tensor import (Tensor, backward, conv2d, custom_op, no_grad, relu, softmax,
-                              tape, weighted_sum)
+import softmax_reference
+from structseg.tensor import (Tensor, backward, class_max, class_sum, conv2d, custom_op,
+                              no_grad, relu, softmax, tape, weighted_sum)
 from structseg.verification import max_rel_error, numerical_gradient
 from fd_helpers import per_row
 from tape_helpers import sum_of_squares
@@ -262,6 +266,70 @@ def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
     assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
     gx_ref = _scatter_add_input_grad(g, k0, x0.shape, padding)
     assert np.array_equal(x.grad, gx_ref)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# magnitudes 1e-12 to 1e12 of either sign, with NaN, -NaN, +-Inf and -0.0 mixed in
+CLASS_VALUES = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-12, 11)),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, -0.0]))
+
+
+@st.composite
+def class_arrays(draw):
+    """(..., C) arrays with C from 1 to 24 and leading axes (H, W) or a
+    stack (N, H, W), laid out C-contiguous, Fortran-ordered or as a view
+    strided in every axis."""
+    c = draw(st.integers(1, 24))
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    layout = draw(st.sampled_from(["c", "fortran", "sliced"]))
+    if layout == "sliced":
+        base = draw(hnp.arrays(np.float64, tuple(2 * n for n in lead) + (c + 2,),
+                               elements=CLASS_VALUES))
+        return base[(slice(None, None, 2),) * len(lead) + (slice(1, c + 1),)]
+    a = draw(hnp.arrays(np.float64, lead + (c,), elements=CLASS_VALUES))
+    return np.asfortranarray(a) if layout == "fortran" else a
+
+
+def _wide_range(num_classes):
+    """Contiguous (64, C) values spanning eight decades across the class
+    axis, where summation order shows in the last bits."""
+    rng = np.random.default_rng(num_classes)
+    return rng.normal(size=(64, num_classes)) * 10.0 ** (np.arange(num_classes) % 8 - 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(class_arrays())
+@example(_wide_range(7))
+@example(_wide_range(8))  # numpy's first pairwise length
+@example(_wide_range(9))
+def test_class_reductions_equal_numpys_bit_for_bit(a):
+    # A NaN's sign bit is not compared: numpy's own loops differ in it (its
+    # contiguous max reduce clears a leading -NaN's sign, its strided one
+    # keeps it; an in-place add of one pixel keeps the second NaN's sign)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ours, ref in [(class_sum(a), a.sum(axis=-1, keepdims=True)),
+                          (class_max(a), a.max(axis=-1, keepdims=True))]:
+            assert ours.shape == ref.shape
+            assert np.array_equal(_bits(np.where(np.isnan(ours), np.nan, ours)),
+                                  _bits(np.where(np.isnan(ref), np.nan, ref)))
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4, 19])
+@pytest.mark.parametrize("lead", [(8, 8), (5, 8, 8)], ids=["map", "stack"])
+def test_softmax_matches_numpy_reductions_bit_for_bit(num_classes, lead):
+    rng = np.random.default_rng(num_classes)
+    x = rng.normal(size=lead + (num_classes,)) * 10.0
+    g = rng.normal(size=x.shape)
+    t = Tensor(x, requires_grad=True)
+    s = softmax(t)
+    ref = softmax_reference.softmax(x)
+    assert np.array_equal(_bits(s.data), _bits(ref))
+    backward(custom_op("probe", np.zeros(()), s, lambda _: g))
+    assert np.array_equal(_bits(t.grad), _bits(softmax_reference.softmax_backward(ref, g)))
 
 
 def test_max_rel_error_floor_is_rounding_noise():

@@ -254,14 +254,20 @@ def custom_op(op: str, out_data: np.ndarray, a: Tensor, grad_of) -> Tensor:
 def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Valid cross-correlation of an (H,W,c_in) array with a (kh,kw,c_in,
     c_out) kernel: one batched (W,c_in) x (c_in,c_out) product per kernel
-    offset, no patch copy. ``reverse`` walks the offsets last to first."""
+    offset, no patch copy. ``reverse`` walks the offsets last to first. The
+    offsets' products are summed in blocks of output rows of at most
+    512 KiB, so the running sum stays in cache; each entry still adds the
+    same terms in the same order."""
     kh, kw, _, cout = kernel.shape
     oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
     step = -1 if reverse else 1
+    rows = max(1, (512 << 10) // (8 * ow * cout))
     out = np.zeros((oh, ow, cout))
-    for ky in range(kh)[::step]:
-        for kx in range(kw)[::step]:
-            out += xp[ky:ky + oh, kx:kx + ow, :] @ kernel[ky, kx]
+    for r in range(0, oh, rows):
+        block = out[r:r + rows]
+        for ky in range(kh)[::step]:
+            for kx in range(kw)[::step]:
+                block += xp[r + ky:r + ky + len(block), kx:kx + ow, :] @ kernel[ky, kx]
     return out
 
 
@@ -276,13 +282,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     Backward: the kernel gradient at each offset is a batch of per-row
     (c_in, W) x (W, c_out) products summed over rows. The input gradient
-    is the correlation of the fully zero-padded output gradient with the
-    kernel flipped in space and its channel axes swapped; walking the
-    offsets in reverse adds the terms in the same order as scattering
-    ``g @ kernel[ky, kx].T`` into each offset's window, so it is
-    bit-identical to that scatter-add; cropping the padding off gives the
-    image's gradient. The node keeps ``x`` and pads it again for the kernel
-    gradient.
+    is the valid correlation of the output gradient, zero-padded by
+    ``kh - 1 - padding`` (and ``kw - 1 - padding``), with a contiguous copy
+    of the kernel flipped in space and its channel axes swapped, so each
+    product has exactly the image's W rows. Walking the offsets in reverse
+    adds the terms in the same order as scattering ``g @ kernel[ky, kx].T``
+    into each offset's window. A padding above ``kh - 1`` pads nothing and
+    crops the correlation's extra border. The node keeps ``x`` and pads it
+    again for the kernel gradient.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
@@ -295,6 +302,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} outputs")
     p = int(padding)
+    if p < 0:
+        raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
     xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
     oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
     if oh < 1 or ow < 1:
@@ -317,10 +326,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
                     gk[ky, kx] = np.matmul(patch.transpose(0, 2, 1), g).sum(axis=0)
             _accum(kernel, gk)
         if x.requires_grad:
-            gp = np.pad(g, ((kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2)
-            gxp = _correlate(gp, flipped, reverse=True)
-            _accum(x, gxp[p:p + h, p:p + w, :])
+            qh, qw = max((kh - 1) - p, 0), max((kw - 1) - p, 0)
+            gp = np.pad(g, ((qh, qh), (qw, qw), (0, 0)))
+            flipped = np.ascontiguousarray(kernel.data[::-1, ::-1].transpose(0, 1, 3, 2))
+            gx = _correlate(gp, flipped, reverse=True)
+            ch, cw = max(p - (kh - 1), 0), max(p - (kw - 1), 0)
+            _accum(x, gx[ch:ch + h, cw:cw + w, :])
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _record("conv2d", out, inputs, bwd)

@@ -16,8 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 import structseg
 import softmax_reference
-from structseg.tensor import (Tensor, backward, class_max, class_sum, conv2d, custom_op,
-                              no_grad, relu, softmax, tape, weighted_sum)
+from structseg.tensor import (Tensor, _correlate, backward, class_max, class_sum, conv2d,
+                              custom_op, no_grad, relu, softmax, tape, weighted_sum)
 from structseg.verification import max_rel_error, numerical_gradient
 from fd_helpers import per_row
 from tape_helpers import sum_of_squares
@@ -67,6 +67,13 @@ class TestForwardExamples:
                          [1.0, 1.0])  # no broadcasting
         with pytest.raises(ValueError, match="conv2d"):
             conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 8))))
+
+    def test_conv2d_negative_padding_errors(self):
+        x = Tensor(np.zeros((4, 4, 2)), requires_grad=True)
+        nodes = len(tape())
+        with pytest.raises(ValueError, match=r"conv2d: padding must be >= 0, got -1"):
+            conv2d(x, Tensor(np.zeros((3, 3, 2, 2))), padding=-1)
+        assert len(tape()) == nodes
 
     def test_weighted_sum_adds_left_to_right(self):
         a, b, c = (np.random.default_rng(seed).normal(size=100) for seed in range(3))
@@ -203,7 +210,7 @@ def test_weighted_sum_gradients():
 
 
 # ids read stride-padding-fill; conv2d is stride 1 and pads with zeros
-@pytest.mark.parametrize("padding", [1, 0], ids=["1-1-zeros", "1-0-zeros"])
+@pytest.mark.parametrize("padding", [1, 0, 3], ids=["1-1-zeros", "1-0-zeros", "1-3-zeros"])
 def test_conv2d_gradients(padding):
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -230,16 +237,20 @@ def test_conv2d_gradients(padding):
 
 
 def _scatter_add_input_grad(g, k, shape, p):
-    """dL/dx by scattering g @ k[ky, kx].T into each offset's window of the
-    zero-padded input, then cropping the padding off."""
+    """dL/dx by scattering g @ k[ky, kx].T, with a contiguous copy of the
+    transposed slice, into each offset's window of the zero-padded input,
+    then cropping the padding off. g is first zero-padded by kh//2 - p so
+    that each product has the input's width."""
     h, w, _ = shape
     kh, kw = k.shape[:2]
+    qh, qw = kh // 2 - p, kw // 2 - p
+    g = np.pad(g, ((qh, qh), (qw, qw), (0, 0)))
     oh, ow = g.shape[:2]
-    gxp = np.zeros((h + 2 * p, w + 2 * p, shape[2]))
+    gxp = np.zeros((h + kh - 1, w + kw - 1, shape[2]))
     for ky in range(kh):
         for kx in range(kw):
-            gxp[ky:ky + oh, kx:kx + ow, :] += g @ k[ky, kx].T
-    return gxp[p:p + h, p:p + w, :]
+            gxp[ky:ky + oh, kx:kx + ow, :] += g @ np.ascontiguousarray(k[ky, kx].T)
+    return gxp[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w, :]
 
 
 # ids read c_in-c_out-padding-fill
@@ -266,6 +277,51 @@ def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
     assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
     gx_ref = _scatter_add_input_grad(g, k0, x0.shape, padding)
     assert np.array_equal(x.grad, gx_ref)
+
+
+def _correlate_one_block(xp, kernel, reverse=False):
+    """``_correlate`` as one block: each offset's product over all output
+    rows at once."""
+    kh, kw, _, cout = kernel.shape
+    oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
+    step = -1 if reverse else 1
+    out = np.zeros((oh, ow, cout))
+    for ky in range(kh)[::step]:
+        for kx in range(kw)[::step]:
+            out += xp[ky:ky + oh, kx:kx + ow, :] @ kernel[ky, kx]
+    return out
+
+
+# ids read c_in-c_out
+@pytest.mark.parametrize("cin,cout", [(32, 32), (32, 4), (16, 16), (16, 4)])
+def test_conv2d_input_grad_keeps_full_pad_bits(cin, cout):
+    """At the model's input-gradient shapes, 64x64 at padding 1, x.grad is
+    bit-identical to the full-pad formula: g zero-padded by kh - 1,
+    correlated in reverse with the F-ordered flipped kernel, then cropped.
+    Training's bits rest on this."""
+    rng = np.random.default_rng(cin * 100 + cout)
+    x0 = rng.normal(size=(64, 64, cin))
+    k0 = rng.normal(size=(3, 3, cin, cout))
+    x = Tensor(x0, requires_grad=True)
+    out = conv2d(x, Tensor(k0), padding=1)
+    backward(sum_of_squares(out))
+    g = 2.0 * out.data  # the output's gradient
+
+    gp = np.pad(g, ((2, 2), (2, 2), (0, 0)))
+    flipped = k0[::-1, ::-1].transpose(0, 1, 3, 2)
+    gx_ref = _correlate_one_block(gp, flipped, reverse=True)[1:65, 1:65]
+    assert np.array_equal(x.grad, gx_ref)
+
+
+def test_correlate_row_blocks_keep_bits():
+    """A 70x64x32 output spans row blocks of 32, 32 and 6 rows; summed block
+    by block, either walk gives the bits of one block."""
+    rng = np.random.default_rng(7)
+    xp = rng.normal(size=(72, 66, 32))
+    kernel = rng.normal(size=(3, 3, 32, 32))
+    for reverse in (False, True):
+        assert np.array_equal(_correlate(xp, kernel, reverse=reverse),
+                              _correlate_one_block(xp, kernel, reverse=reverse))
 
 
 def _bits(a):

@@ -13,7 +13,7 @@ from .model import SegNet, SegNetDescriptor, init_segnet
 from .optim import make_velocity, poly_lr, sgd_step
 from .synthdata import SceneDataset, SceneSample, augment, generate_scene
 from .tensor import (ComputationTape, NonFiniteError, Tensor, backward,
-                     conv2d, no_grad, relu, softmax)
+                     conv2d, no_grad, softmax)
 from .trainer import (EMA_VARIANTS, LOSS_VARIANTS, ConfigError, LossBreakdown,
                       StepRecord, TrainConfig, Trainer, run_ablation)
 

@@ -186,11 +186,12 @@ def structured_consistency_box(student: PredictionMap, guessed: PredictionMap,
         # a row times a column, which keeps a dot product's bits on a stack too
         terms.append(0.5 * np.matmul(per_box[..., None, :], lay.box_w[:, None])[..., 0, 0])
     if sampled:
-        # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count
-        s_i, s_j = s_hat.take(lay.i, axis=-2), s_hat.take(lay.j, axis=-2)
-        d = (np.einsum("...nc,...nc->...n", s_i, s_j)
-             - np.einsum("nc,nc->n", t_hat.take(lay.i, axis=0), t_hat.take(lay.j, axis=0)))
-        delta = s_j - s_i  # all the backward pass reads of s_i and s_j
+        # (s_i . s_j - t_i . t_j)^2 per sampled pair, over its box's pair count;
+        # two (n, C) gathers at a time, s_j becoming delta = s_j - s_i in place
+        t_dots = np.einsum("nc,nc->n", t_hat.take(lay.i, axis=0), t_hat.take(lay.j, axis=0))
+        s_i, delta = s_hat.take(lay.i, axis=-2), s_hat.take(lay.j, axis=-2)
+        d = np.einsum("...nc,...nc->...n", s_i, delta) - t_dots
+        delta -= s_i  # all the backward pass reads of s_i and s_j
         terms.append((d * d * lay.pair_w).sum(axis=-1))
 
     def grad_of(g):

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .tensor import Tensor, conv2d, relu
+from .tensor import Tensor, conv2d
 
 PARAM_CAP = 100_000
 
@@ -64,7 +64,8 @@ class SegNet:
                 params: Optional[Sequence[Tensor]] = None) -> Tensor:
         """Logits (H,W,C) for an (H,W,in_channels) image; pass ``params``
         to evaluate with substitute weights (EMA teacher, shared-weight
-        teacher) of the same architecture."""
+        teacher) of the same architecture. Every layer but the last has
+        its ReLU fused into its ``conv2d`` node."""
         x = image if isinstance(image, Tensor) else Tensor(image)
         if x.data.ndim != 3 or x.data.shape[2] != self.descriptor.in_channels:
             raise ValueError(
@@ -73,9 +74,7 @@ class SegNet:
         pad = self.descriptor.kernel_size // 2
         n_layers = len(params) // 2
         for i, (k, b) in enumerate(zip(params[0::2], params[1::2])):
-            x = conv2d(x, k, b, padding=pad)
-            if i < n_layers - 1:
-                x = relu(x)
+            x = conv2d(x, k, b, padding=pad, relu=i < n_layers - 1)
         return x
 
 

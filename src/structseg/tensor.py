@@ -3,9 +3,9 @@
 Every operation that touches a gradient-tracking tensor is recorded on a
 global tape in execution order; ``backward`` empties the tape node by node
 in exact reverse order, accumulating dLoss/dTensor into ``.grad`` buffers
-and freeing the arrays only the tape held as it goes. The
-engine is deliberately small: ``conv2d``, ``relu`` and ``softmax`` for the
-net, ``weighted_sum`` for the weighted loss total, and ``custom_op``, which
+and freeing the arrays only the tape held as it goes. The engine is
+deliberately small: ``conv2d`` (ReLU fused in) and ``softmax`` for the net,
+``weighted_sum`` for the weighted loss total, and ``custom_op``, which
 records a hand-differentiated node of one input. Each loss is one such node
 (see ``losses``). ``class_sum`` and ``class_max`` are the class-axis
 reductions that softmax and the losses share.
@@ -197,12 +197,6 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     return _record("weighted_sum", Tensor(total), terms, bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0); the backward reads the input ``a`` to mask the gradient."""
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record("relu", out, (a,), lambda g: _accum(a, g * (a.data > 0.0)))
-
-
 def _class_reduce(ufunc, a: np.ndarray, start) -> np.ndarray:
     # numpy reduces a last axis shorter than 8 left to right, one inner loop
     # per pixel, and from 8 on in pairwise blocks of 8: below 8, C - 1 calls
@@ -272,24 +266,26 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
+           padding: int = 0, relu: bool = False) -> Tensor:
     """2-D stride-1 cross-correlation on an HxWxC image, zero-padded by
-    ``padding`` on each side.
+    ``padding`` on each side, plus ``bias``; ``relu`` clamps that at 0.
 
     kernel has shape (kh, kw, c_in, c_out); the spatial loops run over
     kernel offsets only, each offset contributing one (H*W, c_in) x
     (c_in, c_out) product.
 
-    Backward: the kernel gradient at each offset is a batch of per-row
-    (c_in, W) x (W, c_out) products summed over rows. The input gradient
-    is the valid correlation of the output gradient, zero-padded by
-    ``kh - 1 - padding`` (and ``kw - 1 - padding``), with a contiguous copy
-    of the kernel flipped in space and its channel axes swapped, so each
-    product has exactly the image's W rows. Walking the offsets in reverse
-    adds the terms in the same order as scattering ``g @ kernel[ky, kx].T``
-    into each offset's window. A padding above ``kh - 1`` pads nothing and
-    crops the correlation's extra border. The node keeps ``x`` and pads it
-    again for the kernel gradient.
+    Backward: a ReLU masks the output gradient with ``out > 0``, which is
+    ``pre > 0`` entry for entry (NaN included), so no pre-activation is
+    kept. The kernel gradient at each offset is a batch of per-row (c_in,
+    W) x (W, c_out) products summed over rows, on ``x`` padded again and
+    dropped after. The input gradient is the valid correlation of the
+    output gradient, zero-padded by ``kh - 1 - padding`` (and ``kw - 1 -
+    padding``), with a contiguous copy of the kernel flipped in space and
+    its channel axes swapped, so each product has exactly the image's W
+    rows. Walking the offsets in reverse adds the terms in the same order
+    as scattering ``g @ kernel[ky, kx].T`` into each offset's window. A
+    padding above ``kh - 1`` pads nothing and crops the correlation's extra
+    border.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
@@ -312,9 +308,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     out_data = _correlate(xp, kernel.data)
     if bias is not None:
         out_data += bias.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
     out = Tensor(out_data)
 
     def bwd(g):
+        if relu:
+            g = g * (out.data > 0.0)
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 1)))
         if kernel.requires_grad:
@@ -322,14 +322,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
             xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
             for ky in range(kh):
                 for kx in range(kw):
-                    patch = xp[ky:ky + oh, kx:kx + ow, :]
-                    gk[ky, kx] = np.matmul(patch.transpose(0, 2, 1), g).sum(axis=0)
+                    patch = xp[ky:ky + oh, kx:kx + ow, :].transpose(0, 2, 1)
+                    gk[ky, kx] = np.matmul(patch, g).sum(axis=0)
+            del xp, patch
             _accum(kernel, gk)
         if x.requires_grad:
             qh, qw = max((kh - 1) - p, 0), max((kw - 1) - p, 0)
-            gp = np.pad(g, ((qh, qh), (qw, qw), (0, 0)))
             flipped = np.ascontiguousarray(kernel.data[::-1, ::-1].transpose(0, 1, 3, 2))
-            gx = _correlate(gp, flipped, reverse=True)
+            gx = _correlate(np.pad(g, ((qh, qh), (qw, qw), (0, 0))), flipped, reverse=True)
             ch, cw = max(p - (kh - 1), 0), max(p - (kw - 1), 0)
             _accum(x, gx[ch:ch + h, cw:cw + w, :])
 

@@ -5,7 +5,7 @@ import pytest
 
 from structseg.ema import ema_init, ema_update
 from structseg.model import SegNetDescriptor, init_segnet
-from structseg.tensor import Tensor
+from structseg.tensor import Tensor, no_grad
 
 
 def _params(rng, shapes=((3, 4), (5,), (2, 2, 2))):
@@ -34,7 +34,8 @@ class TestInit:
         net = init_segnet(rng, SegNetDescriptor(in_channels=2, widths=(4, 3)))
         state = ema_init(net.params, 0.999)
         img = rng.random((6, 6, 2))
-        out_student = net.forward(img).data
+        with no_grad():
+            out_student = net.forward(img).data
         out_teacher = net.forward(img, params=state.teacher_params).data
         np.testing.assert_array_equal(out_student, out_teacher)
 

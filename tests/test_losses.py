@@ -264,6 +264,7 @@ class TestConsistencyLoss:
         g, _ = _probs_grad(rng, (3, 3, 2))
         with pytest.raises(ValueError, match="gradient"):
             consistency_loss(s, g)
+        tape().clear()  # g's softmax node, which no backward runs
 
 
 # -- the scalar cosine reference -------------------------------------------------
@@ -420,6 +421,7 @@ class TestStructuredBox:
         pairs = drop_pairs(bs, 40, rng)
         with pytest.raises(ValueError, match="gradient"):
             structured_consistency_box(s, g, bs, pairs)
+        tape().clear()  # g's softmax node, which no backward runs
 
 
 # -- the exact per-box term and the sampled-pair term ----------------------------
@@ -525,6 +527,27 @@ class TestStructuredPaths:
             assert all(bp.q is None for bp in pairs.per_box)
 
 
+def _paper_scale_value_and_backward(pair_budget):
+    """The structured loss's value and backward on a 256x512x19 map with 16
+    boxes of seed 0: its pair set and the traced peak, after checking the
+    value and gradient are sane."""
+    h, w, c = 256, 512, 19
+    rng = np.random.default_rng(0)
+    s = PredictionMap(Tensor(_probs(rng, (h, w, c)).probs.data, requires_grad=True))
+    g = _probs(rng, (h, w, c))
+    bs = generate_boxes(0, h, w, 32, n_box=16)
+    pairs = drop_pairs(bs, pair_budget, rng)
+
+    def value_and_backward():
+        loss = structured_consistency_box(s, g, bs, pairs)
+        backward(loss)
+        return loss
+
+    loss, peak = traced_peak(value_and_backward)
+    assert 0.0 < loss.item() < 4.0 and np.isfinite(s.probs.grad).all()
+    return pairs, peak
+
+
 class TestExactGramsPerBox:
     """The exact term at the paper's 19 classes: three C x C Grams per box,
     also where a box has fewer pixels than classes and its Grams are
@@ -535,23 +558,21 @@ class TestExactGramsPerBox:
     # rows takes about 300 MiB and fails this bound.
     PEAK_BOUND_MIB = 150
 
+    # With budget 9000, 15 boxes sample 135,000 pairs, so one (n, C) gather
+    # of them is 135,000 x 19 float64 = 19.6 MiB. Value and backward take
+    # about 104 MiB with at most two gathers alive at once; a form that keeps
+    # s_i and s_j beside delta takes about 123 MiB and fails this bound.
+    SAMPLED_PEAK_BOUND_MIB = 112
+
     def test_paper_classes_at_256x512_stay_under_the_memory_bound(self):
-        h, w, c = 256, 512, 19
-        rng = np.random.default_rng(0)
-        s = PredictionMap(Tensor(_probs(rng, (h, w, c)).probs.data, requires_grad=True))
-        g = _probs(rng, (h, w, c))
-        bs = generate_boxes(0, h, w, 32, n_box=16)
-        pairs = drop_pairs(bs, (h * w) ** 2, rng)
+        pairs, peak = _paper_scale_value_and_backward((256 * 512) ** 2)
         assert all(bp.q is None for bp in pairs.per_box)
-
-        def value_and_backward():
-            loss = structured_consistency_box(s, g, bs, pairs)
-            backward(loss)
-            return loss
-
-        loss, peak = traced_peak(value_and_backward)
-        assert 0.0 < loss.item() < 4.0 and np.isfinite(s.probs.grad).all()
         assert peak < self.PEAK_BOUND_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_sampled_pairs_at_256x512_stay_under_the_memory_bound(self):
+        pairs, peak = _paper_scale_value_and_backward(9000)
+        assert len(pairs.layout.i) == 135_000 and len(pairs.layout.box_w) == 0
+        assert peak < self.SAMPLED_PEAK_BOUND_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_oracle_at_19_classes(self):
         # 6x6 in three strips: 12 pixels per box against 19 classes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from structseg.model import PARAM_CAP, SegNetDescriptor, init_segnet
-from structseg.tensor import backward, softmax, weighted_sum
+from structseg.tensor import backward, no_grad, softmax, weighted_sum
 from structseg.verification import max_rel_error, numerical_gradient
 from fd_helpers import per_row
 from tape_helpers import sum_of_squares
@@ -54,6 +54,12 @@ class TestInit:
 
 
 class TestForward:
+    @pytest.fixture(autouse=True)
+    def record_nothing(self):
+        """These tests read values only, so their forwards leave no nodes."""
+        with no_grad():
+            yield
+
     def test_zero_final_layer_gives_uniform_softmax(self):
         rng = np.random.default_rng(0)
         net = init_segnet(rng, SegNetDescriptor(in_channels=3, widths=(8, 4)))
@@ -127,7 +133,8 @@ def test_mean_logit_gradient_matches_finite_differences():
             for q, v in zip(net.params, values):
                 q.data[:] = v
             p.data[:] = x
-            out = mean_square(net.forward(img)).item()
+            with no_grad():
+                out = mean_square(net.forward(img)).item()
             for q, v in zip(net.params, values):
                 q.data[:] = v
             return out

@@ -17,8 +17,8 @@ from hypothesis.extra import numpy as hnp
 import structseg
 import softmax_reference
 from structseg.tensor import (Tensor, _correlate, backward, class_max, class_sum, conv2d,
-                              custom_op, no_grad, relu, softmax, tape, weighted_sum)
-from structseg.verification import max_rel_error, numerical_gradient
+                              custom_op, no_grad, softmax, tape, weighted_sum)
+from structseg.verification import FD_STEP, max_rel_error, numerical_gradient
 from fd_helpers import per_row
 from tape_helpers import sum_of_squares
 
@@ -26,10 +26,6 @@ SEEDS = range(20)
 
 
 class TestForwardExamples:
-    def test_relu_definition(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
     def test_softmax_equal_logits(self):
         out = softmax(Tensor(np.zeros((2, 2, 4))))
         np.testing.assert_allclose(out.data, 0.25, rtol=0, atol=0)
@@ -99,7 +95,8 @@ class TestBackwardExamples:
     def test_non_scalar_loss_errors(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            backward(relu(x))
+            backward(softmax(x))
+        tape().clear()  # the refused pass leaves the softmax node recorded
 
     def test_mean_squared_softmax_difference_matches_fd(self):
         rng = np.random.default_rng(7)
@@ -152,14 +149,14 @@ class TestTape:
         tape().clear()
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = relu(x)
+            y = softmax(x)
         assert len(tape()) == 0
         assert not y.requires_grad
 
     def test_inputs_recorded_before_consumers(self):
         tape().clear()
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = relu(x)
+        y = softmax(x)
         z = sum_of_squares(y)
         ids = [id(node.out) for node in tape().nodes]
         assert ids.index(id(y)) < ids.index(id(z))
@@ -173,7 +170,6 @@ def _away_from_zero(rng, shape):
 
 # (name, builder(tensors) -> Tensor, input makers)
 UNARY_CASES = [
-    ("relu", lambda t: relu(t), _away_from_zero),
     ("softmax", lambda t: softmax(t), _away_from_zero),
 ]
 
@@ -209,20 +205,32 @@ def test_weighted_sum_gradients():
             assert max_rel_error(t.grad, numerical_gradient(per_row(f), arrays[i])) < 1e-4
 
 
-# ids read stride-padding-fill; conv2d is stride 1 and pads with zeros
-@pytest.mark.parametrize("padding", [1, 0, 3], ids=["1-1-zeros", "1-0-zeros", "1-3-zeros"])
-def test_conv2d_gradients(padding):
+# ids read stride-padding-fill(-relu); conv2d is stride 1 and pads with zeros
+@pytest.mark.parametrize("padding,relu", [(1, False), (0, False), (3, False),
+                                          (1, True), (0, True), (3, True)],
+                         ids=["1-1-zeros", "1-0-zeros", "1-3-zeros",
+                              "1-1-zeros-relu", "1-0-zeros-relu", "1-3-zeros-relu"])
+def test_conv2d_gradients(padding, relu):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x0 = rng.normal(size=(6, 5, 2))
         k0 = rng.normal(size=(3, 3, 2, 4))
         b0 = rng.normal(size=4)
+        if relu:
+            # on quarters, with the bias 1/32 off them, every pre-activation
+            # is an odd multiple of 1/32: central differences, which move
+            # one by at most FD_STEP * max(|x|, |k|, 1), never cross the kink
+            x0, k0 = np.round(4 * x0) / 4, np.round(4 * k0) / 4
+            b0 = np.round(4 * b0) / 4 + 1 / 32
+            pre = conv2d(Tensor(x0), Tensor(k0), Tensor(b0), padding=padding).data
+            reach = FD_STEP * max(np.abs(x0).max(), np.abs(k0).max(), 1.0)
+            assert np.abs(pre).min() > reach and (pre < 0).any() and (pre > 0).any()
 
         def build(x, k, b):
             return sum_of_squares(conv2d(Tensor(x) if not isinstance(x, Tensor) else x,
                                          Tensor(k) if not isinstance(k, Tensor) else k,
                                          Tensor(b) if not isinstance(b, Tensor) else b,
-                                         padding=padding))
+                                         padding=padding, relu=relu))
 
         tx = Tensor(x0, requires_grad=True)
         tk = Tensor(k0, requires_grad=True)
@@ -277,6 +285,39 @@ def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
     assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
     gx_ref = _scatter_add_input_grad(g, k0, x0.shape, padding)
     assert np.array_equal(x.grad, gx_ref)
+
+
+# ids read c_in-c_out-padding
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("cin,cout", [(3, 16), (16, 16), (16, 4), (32, 32)])
+def test_conv2d_relu_equals_the_unfused_composition(cin, cout, padding):
+    """conv2d(..., relu=True) gives the bits of the plain op followed by
+    max(pre, 0), whose backward passes g * (pre > 0), in its value and in
+    the x, kernel and bias gradients, also where a pre-activation is 0."""
+    rng = np.random.default_rng(cin * 100 + cout * 10 + padding)
+    x0 = rng.normal(size=(12, 10, cin))
+    x0[3:9, 2:8] = 0.0  # pre-activations of exactly the bias...
+    b0 = rng.normal(size=cout)
+    b0[::2] = 0.0       # ...which is 0 on every other output channel
+    k0 = rng.normal(size=(3, 3, cin, cout))
+    g = rng.normal(size=(12 + 2 * padding - 2, 10 + 2 * padding - 2, cout))
+
+    def leaves():
+        return (Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True),
+                Tensor(b0, requires_grad=True))
+
+    fused = leaves()
+    out = conv2d(*fused, padding=padding, relu=True)
+    backward(custom_op("probe", np.zeros(()), out, lambda _: g))
+
+    ref = leaves()
+    pre = conv2d(*ref, padding=padding)
+    assert (pre.data == 0.0).any() and (pre.data < 0).any() and (pre.data > 0).any()
+    backward(custom_op("probe", np.zeros(()), pre, lambda _: g * (pre.data > 0.0)))
+
+    assert np.array_equal(_bits(out.data), _bits(np.maximum(pre.data, 0.0)))
+    for t, r in zip(fused, ref):
+        assert np.array_equal(_bits(t.grad), _bits(r.grad))
 
 
 def _correlate_one_block(xp, kernel, reverse=False):

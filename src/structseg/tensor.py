@@ -159,11 +159,12 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode pass from a scalar loss. Each node leaves the tape
     before it runs, so the arrays only it held (its saved inputs, its output
     and that output's gradient) are freed once it has run; the tape ends
-    empty, also when a node raises. Every requires_grad tensor reachable from
-    ``loss`` that the caller holds ends up with ``grad`` = dLoss/dTensor."""
-    if loss.data.size != 1:
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    empty, also when the loss is refused or a node raises. Every
+    requires_grad tensor reachable from ``loss`` that the caller holds ends
+    up with ``grad`` = dLoss/dTensor."""
     try:
+        if loss.data.size != 1:
+            raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
         if not loss.requires_grad:
             return
         loss.grad = np.ones_like(loss.data)

@@ -1,11 +1,11 @@
-"""Semi-supervised training loop: supervised branch on labeled scenes,
-unlabeled branch through teacher prediction, CutMix composition and both
-consistency losses, SGD with polynomial LR decay, and EMA teacher updates.
-
-One step consumes one labeled scene and one unlabeled image pair; epochs
-are counted over the labeled split. All randomness flows from independent
-per-purpose generators spawned off the run seed, so disabling a branch
-never perturbs the others.
+"""Semi-supervised training loop. A step is draw, objective, update:
+``Trainer.draw_inputs`` draws the labeled scene, the augmented unlabeled
+pair, the CutMix boxes and the box pairs; ``step_objective`` computes the
+relaxed CE and both consistency losses from them alone, the teacher
+predicting under ``no_grad``; the update is backward, SGD with polynomial
+LR decay and the EMA. Epochs are counted over the labeled split. Each
+generator serves one purpose and is spawned off the run seed, so disabling
+a branch never perturbs the others.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import numpy as np
 
 from . import checkpoint
 from .checkpoint import CheckpointError
-from .cutmix import compose_image, compose_predictions, drop_pairs, generate_boxes
+from .cutmix import BoxSet, PairSet, compose_image, compose_predictions, drop_pairs, generate_boxes
 from .ema import EmaState, ema_init, ema_update
 from .losses import (PredictionMap, consistency_loss, relaxed_cross_entropy,
                      structured_consistency_box)
 from .metrics import ConfusionMatrix, miou
 from .model import SegNet, SegNetDescriptor, init_segnet
 from .optim import make_velocity, poly_lr, sgd_step
-from .synthdata import SceneDataset, SceneSample, augment_pair
+from .synthdata import AugmentedPair, SceneDataset, SceneSample, augment_pair
 from .tensor import (NonFiniteError, Tensor, backward, no_grad, parameters_finite, tape,
                      weighted_sum)
 
@@ -273,6 +273,39 @@ class StepRecord:
     pair_counts: List[int] = field(default_factory=list)
 
 
+class StepInputs(NamedTuple):
+    """What one step draws; a part is None when every loss reading it is off."""
+    labeled: SceneSample
+    pair: Optional[AugmentedPair]
+    boxset: Optional[BoxSet]
+    pairs: Optional[PairSet]
+
+
+def step_objective(net: SegNet, teacher_params: Sequence[Tensor], inputs: StepInputs,
+                   config: TrainConfig) -> Tuple[Tensor, LossBreakdown]:
+    """The step's graph loss, left on the tape for ``backward``, and its
+    values. The student's prediction on the CutMix-composed image must match
+    the same composition of the teacher's predictions on the two images."""
+    student_labeled = PredictionMap.from_logits(net.forward(inputs.labeled.image))
+    l_x = relaxed_cross_entropy(student_labeled, inputs.labeled.labels, config.relax_window)
+    terms = {"l_x": (l_x, 1.0)}
+    if inputs.pair is not None:
+        ua, ub, boxset = inputs.pair.ua, inputs.pair.ub, inputs.boxset
+        with no_grad():
+            pred_a = PredictionMap.from_logits(net.forward(ua, params=teacher_params))
+            pred_b = PredictionMap.from_logits(net.forward(ub, params=teacher_params))
+        guessed = compose_predictions(pred_a, pred_b, boxset)
+        student_probs = PredictionMap.from_logits(net.forward(compose_image(ua, ub, boxset)))
+        if config.consistency_weight > 0:
+            terms["l_c"] = consistency_loss(student_probs, guessed), config.consistency_weight
+        if inputs.pairs is not None:
+            terms["l_sc"] = (structured_consistency_box(student_probs, guessed, boxset,
+                                                        inputs.pairs), config.structured_weight)
+    loss_t = weighted_sum(*zip(*terms.values()))  # l_x + w_c * l_c + w_sc * l_sc
+    values = {"l_c": 0.0, "l_sc": 0.0, **{name: t.item() for name, (t, _) in terms.items()}}
+    return loss_t, LossBreakdown(**values, l_tot=loss_t.item())
+
+
 class Trainer:
     def __init__(self, config: TrainConfig):
         config.validate()
@@ -308,53 +341,28 @@ class Trainer:
             b = take()
         return a, b
 
-    def _teacher_params(self):
-        if self.config.ema_teacher:
-            return self.ema.teacher_params
-        return [p.detach() for p in self.student.params]
+    def draw_inputs(self) -> StepInputs:
+        """Everything the next step reads from the generators, drawn in the
+        order labeled index, unlabeled pair, augmentation, boxes, pairs."""
+        cfg = self.config
+        labeled = self.dataset.labeled(self._next_labeled_index())
+        if cfg.consistency_weight == 0 and cfg.structured_weight == 0:  # 0 switches a loss off
+            return StepInputs(labeled, None, None, None)
+        ia, ib = self._next_unlabeled_pair()
+        pair = augment_pair(self.rng_augment, self.dataset.unlabeled_image(ia),
+                            self.dataset.unlabeled_image(ib))
+        boxset = generate_boxes(self.rng_boxes, cfg.height, cfg.width,
+                                cfg.num_boxes, n_box=cfg.num_active_boxes)
+        pairs = (drop_pairs(boxset, cfg.pair_budget, self.rng_pairs)
+                 if cfg.structured_weight > 0 else None)
+        return StepInputs(labeled, pair, boxset, pairs)
 
     # -- one optimization step ---------------------------------------------
     def train_step(self) -> StepRecord:
         cfg = self.config
-        sample = self.dataset.labeled(self._next_labeled_index())
-        student_logits = self.student.forward(sample.image)
-        l_x_t = relaxed_cross_entropy(
-            PredictionMap.from_logits(student_logits), sample.labels, cfg.relax_window)
-        terms, weights = [l_x_t], [1.0]
-        l_c = l_sc = 0.0
-        pair_counts: List[int] = []
-
-        if cfg.consistency_weight > 0 or cfg.structured_weight > 0:  # 0 switches a loss off
-            ia, ib = self._next_unlabeled_pair()
-            pair = augment_pair(self.rng_augment,
-                                self.dataset.unlabeled_image(ia),
-                                self.dataset.unlabeled_image(ib))
-            teacher_params = self._teacher_params()
-            with no_grad():
-                pred_a = PredictionMap.from_logits(
-                    self.student.forward(pair.ua, params=teacher_params))
-                pred_b = PredictionMap.from_logits(
-                    self.student.forward(pair.ub, params=teacher_params))
-            boxset = generate_boxes(self.rng_boxes, cfg.height, cfg.width,
-                                    cfg.num_boxes, n_box=cfg.num_active_boxes)
-            guessed = compose_predictions(pred_a, pred_b, boxset)
-            mixed = compose_image(pair.ua, pair.ub, boxset)
-            student_probs = PredictionMap.from_logits(self.student.forward(mixed))
-            if cfg.consistency_weight > 0:
-                l_c_t = consistency_loss(student_probs, guessed)
-                terms.append(l_c_t)
-                weights.append(cfg.consistency_weight)
-                l_c = l_c_t.item()
-            if cfg.structured_weight > 0:
-                pairs = drop_pairs(boxset, cfg.pair_budget, self.rng_pairs)
-                pair_counts = pairs.counts()
-                l_sc_t = structured_consistency_box(student_probs, guessed, boxset, pairs)
-                terms.append(l_sc_t)
-                weights.append(cfg.structured_weight)
-                l_sc = l_sc_t.item()
-
-        loss_t = weighted_sum(terms, weights)
-        losses = LossBreakdown(l_x_t.item(), l_c, l_sc, loss_t.item())
+        inputs = self.draw_inputs()
+        teacher_params = self.ema.teacher_params if cfg.ema_teacher else self.student.params
+        loss_t, losses = step_objective(self.student, teacher_params, inputs, cfg)
         for name, v in losses._asdict().items():
             if not math.isfinite(v):
                 tape().clear()  # drop the recorded step so a caller can recover
@@ -372,7 +380,7 @@ class Trainer:
             "teacher parameters must never accumulate gradients"
 
         rec = StepRecord(step=self.step_index, lr=lr, losses=losses,
-                         pair_counts=pair_counts)
+                         pair_counts=[] if inputs.pairs is None else inputs.pairs.counts())
         self.step_index += 1
         return rec
 

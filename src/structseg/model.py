@@ -71,10 +71,9 @@ class SegNet:
             raise ValueError(
                 f"forward: expected (H,W,{self.descriptor.in_channels}) image, got {x.shape}")
         params = self.params if params is None else list(params)
-        pad = self.descriptor.kernel_size // 2
         n_layers = len(params) // 2
         for i, (k, b) in enumerate(zip(params[0::2], params[1::2])):
-            x = conv2d(x, k, b, padding=pad, relu=i < n_layers - 1)
+            x = conv2d(x, k, b, relu=i < n_layers - 1)
         return x
 
 

@@ -266,76 +266,64 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray, reverse: bool = False) -> np.
     return out
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0, relu: bool = False) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """2-D stride-1 cross-correlation on an HxWxC image, zero-padded by
-    ``padding`` on each side, plus ``bias``; ``relu`` clamps that at 0.
+    ``p = k // 2`` on each side so the output is HxW again, plus ``bias``;
+    ``relu`` clamps that at 0.
 
-    kernel has shape (kh, kw, c_in, c_out); the spatial loops run over
-    kernel offsets only, each offset contributing one (H*W, c_in) x
+    kernel has shape (k, k, c_in, c_out) with k odd; the spatial loops run
+    over kernel offsets only, each offset contributing one (H*W, c_in) x
     (c_in, c_out) product.
 
-    Backward: a ReLU masks the output gradient with ``out > 0``, which is
-    ``pre > 0`` entry for entry (NaN included), so no pre-activation is
-    kept. The kernel gradient at each offset is a batch of per-row (c_in,
-    W) x (W, c_out) products summed over rows, on ``x`` padded again and
-    dropped after. The input gradient is the valid correlation of the
-    output gradient, zero-padded by ``kh - 1 - padding`` (and ``kw - 1 -
-    padding``), with a contiguous copy of the kernel flipped in space and
-    its channel axes swapped, so each product has exactly the image's W
-    rows. Walking the offsets in reverse adds the terms in the same order
-    as scattering ``g @ kernel[ky, kx].T`` into each offset's window. A
-    padding above ``kh - 1`` pads nothing and crops the correlation's extra
-    border.
+    Backward: a ReLU masks the output gradient in place with ``out > 0``,
+    which is ``pre > 0`` entry for entry (NaN included), so no
+    pre-activation is kept. The kernel gradient at each offset is a batch
+    of per-row (c_in, W) x (W, c_out) products summed over rows, on ``x``
+    padded again and dropped after. The input gradient is the valid
+    correlation of the output gradient, zero-padded by ``p``, with a
+    contiguous copy of the kernel flipped in space and its channel axes
+    swapped, so each product has exactly the image's W rows. Walking the
+    offsets in reverse adds the terms in the same order as scattering
+    ``g @ kernel[ky, kx].T`` into each offset's window.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(
-            f"conv2d: expects image (H,W,C) and kernel (kh,kw,cin,cout), "
+            f"conv2d: expects image (H,W,C) and kernel (k,k,cin,cout), "
             f"got {x.shape} and {kernel.shape}")
     h, w, cin = x.data.shape
-    kh, kw, kcin, cout = kernel.data.shape
+    k, kw, kcin, cout = kernel.data.shape
+    if k != kw or k % 2 == 0:
+        raise ValueError(f"conv2d: kernel {kernel.shape} is not odd and square")
     if kcin != cin:
         raise ValueError(f"conv2d: input has {cin} channels, kernel expects {kcin}")
-    if bias is not None and bias.data.shape != (cout,):
+    if bias.data.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} outputs")
-    p = int(padding)
-    if p < 0:
-        raise ValueError(f"conv2d: padding must be >= 0, got {padding}")
-    xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
-    oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"conv2d: kernel {kernel.shape} larger than padded input {xp.shape}")
-
-    out_data = _correlate(xp, kernel.data)
-    if bias is not None:
-        out_data += bias.data
+    p = k // 2
+    same = ((p, p), (p, p), (0, 0))
+    out_data = _correlate(np.pad(x.data, same), kernel.data)
+    out_data += bias.data
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
     out = Tensor(out_data)
 
     def bwd(g):
         if relu:
-            g = g * (out.data > 0.0)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 1)))
+            g *= out.data > 0.0
+        _accum(bias, g.sum(axis=(0, 1)))
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
-            xp = np.pad(x.data, ((p, p), (p, p), (0, 0))) if p > 0 else x.data
-            for ky in range(kh):
-                for kx in range(kw):
-                    patch = xp[ky:ky + oh, kx:kx + ow, :].transpose(0, 2, 1)
+            xp = np.pad(x.data, same)
+            for ky in range(k):
+                for kx in range(k):
+                    patch = xp[ky:ky + h, kx:kx + w, :].transpose(0, 2, 1)
                     gk[ky, kx] = np.matmul(patch, g).sum(axis=0)
             del xp, patch
             _accum(kernel, gk)
         if x.requires_grad:
-            qh, qw = max((kh - 1) - p, 0), max((kw - 1) - p, 0)
             flipped = np.ascontiguousarray(kernel.data[::-1, ::-1].transpose(0, 1, 3, 2))
-            gx = _correlate(np.pad(g, ((qh, qh), (qw, qw), (0, 0))), flipped, reverse=True)
-            ch, cw = max(p - (kh - 1), 0), max(p - (kw - 1), 0)
-            _accum(x, gx[ch:ch + h, cw:cw + w, :])
+            _accum(x, _correlate(np.pad(g, same), flipped, reverse=True))
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _record("conv2d", out, inputs, bwd)
+    return _record("conv2d", out, (x, kernel, bias), bwd)
 
 
 def parameters_finite(params: Iterable[Tensor]) -> bool:

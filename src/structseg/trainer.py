@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -270,7 +270,6 @@ class StepRecord:
     step: int
     lr: float
     losses: LossBreakdown
-    pair_counts: List[int] = field(default_factory=list)
 
 
 class StepInputs(NamedTuple):
@@ -379,8 +378,7 @@ class Trainer:
         assert all(t.grad is None for t in self.ema.teacher_params), \
             "teacher parameters must never accumulate gradients"
 
-        rec = StepRecord(step=self.step_index, lr=lr, losses=losses,
-                         pair_counts=[] if inputs.pairs is None else inputs.pairs.counts())
+        rec = StepRecord(step=self.step_index, lr=lr, losses=losses)
         self.step_index += 1
         return rec
 

@@ -35,7 +35,7 @@ class TestForwardExamples:
         img = rng.normal(size=(7, 9, 2))
         kernel = np.zeros((3, 3, 2, 2))
         kernel[1, 1] = np.eye(2)
-        out = conv2d(Tensor(img), Tensor(kernel), padding=1)
+        out = conv2d(Tensor(img), Tensor(kernel), Tensor(np.zeros(2)))
         np.testing.assert_array_equal(out.data, img)
 
     def test_softmax_rows_sum_to_one(self):
@@ -62,14 +62,15 @@ class TestForwardExamples:
             weighted_sum([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))],
                          [1.0, 1.0])  # no broadcasting
         with pytest.raises(ValueError, match="conv2d"):
-            conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 8))))
+            conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 8))),
+                   Tensor(np.zeros(8)))
 
-    def test_conv2d_negative_padding_errors(self):
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 1, 2, 2), (1, 3, 2, 2)])
+    def test_conv2d_refuses_even_or_non_square_kernels(self, shape):
         x = Tensor(np.zeros((4, 4, 2)), requires_grad=True)
-        nodes = len(tape())
-        with pytest.raises(ValueError, match=r"conv2d: padding must be >= 0, got -1"):
-            conv2d(x, Tensor(np.zeros((3, 3, 2, 2))), padding=-1)
-        assert len(tape()) == nodes
+        with pytest.raises(ValueError, match=r"conv2d: kernel .* is not odd and square"):
+            conv2d(x, Tensor(np.zeros(shape)), Tensor(np.zeros(2)))
+        assert len(tape()) == 0
 
     def test_weighted_sum_adds_left_to_right(self):
         a, b, c = (np.random.default_rng(seed).normal(size=100) for seed in range(3))
@@ -205,16 +206,19 @@ def test_weighted_sum_gradients():
             assert max_rel_error(t.grad, numerical_gradient(per_row(f), arrays[i])) < 1e-4
 
 
-# ids read stride-padding-fill(-relu); conv2d is stride 1 and pads with zeros
+# ids read stride-padding-fill(-relu); conv2d is stride 1 and pads a k x k
+# kernel with k // 2 zeros, so padding p is a kernel of size 2p + 1 (at p = 3,
+# larger than the 6x5 image)
 @pytest.mark.parametrize("padding,relu", [(1, False), (0, False), (3, False),
                                           (1, True), (0, True), (3, True)],
                          ids=["1-1-zeros", "1-0-zeros", "1-3-zeros",
                               "1-1-zeros-relu", "1-0-zeros-relu", "1-3-zeros-relu"])
 def test_conv2d_gradients(padding, relu):
+    k = 2 * padding + 1
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x0 = rng.normal(size=(6, 5, 2))
-        k0 = rng.normal(size=(3, 3, 2, 4))
+        k0 = rng.normal(size=(k, k, 2, 4))
         b0 = rng.normal(size=4)
         if relu:
             # on quarters, with the bias 1/32 off them, every pre-activation
@@ -222,7 +226,7 @@ def test_conv2d_gradients(padding, relu):
             # one by at most FD_STEP * max(|x|, |k|, 1), never cross the kink
             x0, k0 = np.round(4 * x0) / 4, np.round(4 * k0) / 4
             b0 = np.round(4 * b0) / 4 + 1 / 32
-            pre = conv2d(Tensor(x0), Tensor(k0), Tensor(b0), padding=padding).data
+            pre = conv2d(Tensor(x0), Tensor(k0), Tensor(b0)).data
             reach = FD_STEP * max(np.abs(x0).max(), np.abs(k0).max(), 1.0)
             assert np.abs(pre).min() > reach and (pre < 0).any() and (pre > 0).any()
 
@@ -230,7 +234,7 @@ def test_conv2d_gradients(padding, relu):
             return sum_of_squares(conv2d(Tensor(x) if not isinstance(x, Tensor) else x,
                                          Tensor(k) if not isinstance(k, Tensor) else k,
                                          Tensor(b) if not isinstance(b, Tensor) else b,
-                                         padding=padding, relu=relu))
+                                         relu=relu))
 
         tx = Tensor(x0, requires_grad=True)
         tk = Tensor(k0, requires_grad=True)
@@ -248,7 +252,7 @@ def _scatter_add_input_grad(g, k, shape, p):
     """dL/dx by scattering g @ k[ky, kx].T, with a contiguous copy of the
     transposed slice, into each offset's window of the zero-padded input,
     then cropping the padding off. g is first zero-padded by kh//2 - p so
-    that each product has the input's width."""
+    that each product has the input's width; conv2d pads by p = kh // 2."""
     h, w, _ = shape
     kh, kw = k.shape[:2]
     qh, qw = kh // 2 - p, kw // 2 - p
@@ -261,7 +265,7 @@ def _scatter_add_input_grad(g, k, shape, p):
     return gxp[kh // 2:kh // 2 + h, kw // 2:kw // 2 + w, :]
 
 
-# ids read c_in-c_out-padding-fill
+# ids read c_in-c_out-padding-fill; padding p is a kernel of size 2p + 1
 @pytest.mark.parametrize("padding", [0, 1], ids=["0-zeros", "1-zeros"])
 @pytest.mark.parametrize("cin,cout", [(3, 16), (16, 16), (16, 4)])
 def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
@@ -269,25 +273,26 @@ def test_conv2d_gradients_at_model_shapes(cin, cout, padding):
     an explicit patch stack, and the input gradient is bit-identical to the
     scatter-add formula."""
     rng = np.random.default_rng(cin * 100 + cout * 10 + padding)
+    size = 2 * padding + 1
     x0 = rng.normal(size=(32, 28, cin))
-    k0 = rng.normal(size=(3, 3, cin, cout))
+    k0 = rng.normal(size=(size, size, cin, cout))
     x = Tensor(x0, requires_grad=True)
     k = Tensor(k0, requires_grad=True)
-    out = conv2d(x, k, padding=padding)
+    out = conv2d(x, k, Tensor(np.zeros(cout)))
     backward(sum_of_squares(out))
     g = 2.0 * out.data  # the output's gradient
 
     xp = np.pad(x0, ((padding, padding), (padding, padding), (0, 0)))
     oh, ow = out.shape[:2]
-    patches = np.stack([np.stack([xp[ky:ky + oh, kx:kx + ow] for kx in range(3)])
-                        for ky in range(3)])
+    patches = np.stack([np.stack([xp[ky:ky + oh, kx:kx + ow] for kx in range(size)])
+                        for ky in range(size)])
     gk_ref = np.einsum("abijc,ijd->abcd", patches, g)
     assert np.abs(k.grad - gk_ref).max() <= 1e-12 * np.abs(gk_ref).max()
-    gx_ref = _scatter_add_input_grad(g, k0, x0.shape, padding)
+    gx_ref = _scatter_add_input_grad(g, k0, x0.shape, size // 2)
     assert np.array_equal(x.grad, gx_ref)
 
 
-# ids read c_in-c_out-padding
+# ids read c_in-c_out-padding; padding p is a kernel of size 2p + 1
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("cin,cout", [(3, 16), (16, 16), (16, 4), (32, 32)])
 def test_conv2d_relu_equals_the_unfused_composition(cin, cout, padding):
@@ -295,23 +300,24 @@ def test_conv2d_relu_equals_the_unfused_composition(cin, cout, padding):
     max(pre, 0), whose backward passes g * (pre > 0), in its value and in
     the x, kernel and bias gradients, also where a pre-activation is 0."""
     rng = np.random.default_rng(cin * 100 + cout * 10 + padding)
+    size = 2 * padding + 1
     x0 = rng.normal(size=(12, 10, cin))
     x0[3:9, 2:8] = 0.0  # pre-activations of exactly the bias...
     b0 = rng.normal(size=cout)
     b0[::2] = 0.0       # ...which is 0 on every other output channel
-    k0 = rng.normal(size=(3, 3, cin, cout))
-    g = rng.normal(size=(12 + 2 * padding - 2, 10 + 2 * padding - 2, cout))
+    k0 = rng.normal(size=(size, size, cin, cout))
+    g = rng.normal(size=(12, 10, cout))
 
     def leaves():
         return (Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True),
                 Tensor(b0, requires_grad=True))
 
     fused = leaves()
-    out = conv2d(*fused, padding=padding, relu=True)
+    out = conv2d(*fused, relu=True)
     backward(custom_op("probe", np.zeros(()), out, lambda _: g))
 
     ref = leaves()
-    pre = conv2d(*ref, padding=padding)
+    pre = conv2d(*ref)
     assert (pre.data == 0.0).any() and (pre.data < 0).any() and (pre.data > 0).any()
     backward(custom_op("probe", np.zeros(()), pre, lambda _: g * (pre.data > 0.0)))
 
@@ -336,7 +342,7 @@ def _correlate_one_block(xp, kernel, reverse=False):
 # ids read c_in-c_out
 @pytest.mark.parametrize("cin,cout", [(32, 32), (32, 4), (16, 16), (16, 4)])
 def test_conv2d_input_grad_keeps_full_pad_bits(cin, cout):
-    """At the model's input-gradient shapes, 64x64 at padding 1, x.grad is
+    """At the model's input-gradient shapes, 64x64 with 3x3 kernels, x.grad is
     bit-identical to the full-pad formula: g zero-padded by kh - 1,
     correlated in reverse with the F-ordered flipped kernel, then cropped.
     Training's bits rest on this."""
@@ -344,7 +350,7 @@ def test_conv2d_input_grad_keeps_full_pad_bits(cin, cout):
     x0 = rng.normal(size=(64, 64, cin))
     k0 = rng.normal(size=(3, 3, cin, cout))
     x = Tensor(x0, requires_grad=True)
-    out = conv2d(x, Tensor(k0), padding=1)
+    out = conv2d(x, Tensor(k0), Tensor(np.zeros(cout)))
     backward(sum_of_squares(out))
     g = 2.0 * out.data  # the output's gradient
 
@@ -446,7 +452,7 @@ def test_determinism_bit_identical():
         rng = np.random.default_rng(42)
         x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3, 3, 2)), requires_grad=True)
-        loss = sum_of_squares(softmax(conv2d(x, k, padding=1)))
+        loss = sum_of_squares(softmax(conv2d(x, k, Tensor(np.zeros(2)))))
         backward(loss)
         return loss.data.copy(), x.grad.copy(), k.grad.copy()
 

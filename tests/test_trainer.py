@@ -128,10 +128,11 @@ class TestBranchToggles:
     def test_supervised_only_skips_unlabeled_branch(self):
         tr = Trainer(_cfg(consistency_weight=0.0, structured_weight=0.0, seed=0))
         state_before = copy.deepcopy(tr.rng_unlabeled.bit_generator.state)
+        inputs = copy.deepcopy(tr).draw_inputs()  # what the step below draws
         rec = tr.train_step()
         assert rec.losses.l_c == 0.0 and rec.losses.l_sc == 0.0
         assert rec.losses.l_tot == rec.losses.l_x
-        assert rec.pair_counts == []
+        assert inputs.pair is None and inputs.pairs is None
         # the unlabeled stream was never consumed: no unlabeled forward happened
         assert tr.rng_unlabeled.bit_generator.state == state_before
         assert tr._unlabeled_queue == []
@@ -154,17 +155,19 @@ class TestBranchToggles:
 
     def test_consistency_only_branch(self):
         tr = Trainer(_cfg(structured_weight=0.0, seed=1))
+        inputs = copy.deepcopy(tr).draw_inputs()
         rec = tr.train_step()
         assert rec.losses.l_c > 0.0
         assert rec.losses.l_sc == 0.0
-        assert rec.pair_counts == []
+        assert inputs.pairs is None
 
     def test_full_branch_populates_everything(self):
         tr = Trainer(_cfg(seed=1))
+        inputs = copy.deepcopy(tr).draw_inputs()
         rec = tr.train_step()
         assert rec.losses.l_c > 0.0
         assert rec.losses.l_sc >= 0.0
-        assert len(rec.pair_counts) == tr.config.num_active_boxes
+        assert len(inputs.pairs.counts()) == tr.config.num_active_boxes
 
 
 class TestStepMechanics:
@@ -215,8 +218,9 @@ class TestStepMechanics:
         cfg = _cfg(seed=2, pair_budget=17)
         tr = Trainer(cfg)
         for _ in range(6):
-            rec = tr.train_step()
-            assert sum(rec.pair_counts) <= cfg.num_active_boxes * cfg.pair_budget
+            counts = copy.deepcopy(tr).draw_inputs().pairs.counts()
+            tr.train_step()
+            assert sum(counts) <= cfg.num_active_boxes * cfg.pair_budget
 
     def test_teacher_params_never_hold_gradients(self):
         tr = Trainer(_cfg(seed=0))

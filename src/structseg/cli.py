@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import verification
 from .checkpoint import CheckpointError
 from .cutmix import generate_boxes, compose_image
 from .synthdata import save_pgm, save_ppm
@@ -37,7 +36,7 @@ from .trainer import (ConfigError, EMA_VARIANTS, FIELD_KINDS, LOSS_VARIANTS, Eva
                       StepRecord, TrainConfig, Trainer, ablation_csv_rows, evaluate_net,
                       load_checkpoint, run_ablation, save_checkpoint,
                       validation_predictions)
-from .verification import (GRAD_TOLERANCE, ORACLE_TOLERANCE,
+from .verification import (CORRUPTIBLE_OPS, GRAD_TOLERANCE, ORACLE_TOLERANCE,
                            pair_reduction_report, run_gradcheck, run_oracle)
 
 METRICS_HEADER = "step,lr,l_x,l_c,l_sc,l_tot"
@@ -197,8 +196,8 @@ def _parse_seeds(text: str) -> list:
         seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"--seeds must be comma-separated integers, got {text!r}") from None
-    if min(seeds) < 0 or len(seeds) < 3:  # run_ablation's count, checked before --out-dir
-        raise UsageError(f"--seeds must be 3 or more integers >= 0, got {text!r}")
+    if min(seeds) < 0 or len(set(seeds)) < max(len(seeds), 3):  # checked before --out-dir
+        raise UsageError(f"--seeds must be 3 or more distinct integers >= 0, got {text!r}")
     return seeds
 
 
@@ -216,7 +215,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out_dir = _make_out_dir(args.out_dir or "runs")
     variants = LOSS_VARIANTS if args.grid == "loss" else EMA_VARIANTS
-    lines = ablation_csv_rows(run_ablation(cfg, variants, seeds))
+    lines = ablation_csv_rows(run_ablation(cfg, variants, seeds), seeds)
     out_path = out_dir / f"ablation-{args.grid}.csv"
     out_path.write_text("\n".join(lines) + "\n")
     for line in lines:
@@ -227,13 +226,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     n_seeds, seed0 = _seed_range(args)
-    verification.CORRUPT_OP, verification.CORRUPTED_NODES = args.corrupt_op, 0
-    try:
-        report = run_gradcheck(n_seeds=n_seeds, seed0=seed0)
-    finally:
-        verification.CORRUPT_OP = None
-    if args.corrupt_op is not None and verification.CORRUPTED_NODES == 0:
+    if args.corrupt_op not in (None, *CORRUPTIBLE_OPS):
         raise UsageError(f"--corrupt-op: no checked loss records an op named {args.corrupt_op!r}")
+    report = run_gradcheck(n_seeds=n_seeds, seed0=seed0, corrupt_op=args.corrupt_op)
     for name, err in report.items():
         status = "PASS" if err < GRAD_TOLERANCE else "FAIL"
         print(f"{name}: max relative error {err:.3e} ({status}, tolerance {GRAD_TOLERANCE})")
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all losses")
     seed_range(p_gc, 20)
-    p_gc.add_argument("--corrupt-op", help="test hook: corrupt one op's backward rule")
+    p_gc.add_argument("--corrupt-op", help="negative control: corrupt one op's backward rule")
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_or = sub.add_parser("oracle", help="compare fast pairwise loss to enumeration")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Union
 
@@ -124,15 +124,11 @@ class PairLayout(NamedTuple):
 class PairSet:
     """Ordered pixel pairs per active box under a shared budget: every
     pair of a box whose pairs fit it, a uniform sample of the rest."""
-    per_box: List[BoxPairs] = field(default_factory=list)
-    budget: int = 0
+    per_box: List[BoxPairs]
 
     @property
     def total_pairs(self) -> int:
         return sum(len(bp) for bp in self.per_box)
-
-    def counts(self) -> List[int]:
-        return [len(bp) for bp in self.per_box]
 
     @cached_property
     def layout(self) -> PairLayout:
@@ -315,4 +311,4 @@ def drop_pairs(boxset: BoxSet, n_pair: int, rng: np.random.Generator) -> PairSet
         m = len(region)
         q = None if m * m <= n_pair else _sample_distinct(rng, m * m, n_pair)
         per_box.append(BoxPairs(paste_index, region, q))
-    return PairSet(per_box=per_box, budget=n_pair)
+    return PairSet(per_box)

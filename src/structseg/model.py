@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -60,13 +60,13 @@ class SegNet:
     descriptor: SegNetDescriptor
     params: List[Tensor]  # in ``descriptor.param_shapes()`` order
 
-    def forward(self, image: Union[Tensor, np.ndarray],
+    def forward(self, image: np.ndarray,
                 params: Optional[Sequence[Tensor]] = None) -> Tensor:
         """Logits (H,W,C) for an (H,W,in_channels) image; pass ``params``
         to evaluate with substitute weights (EMA teacher, shared-weight
         teacher) of the same architecture. Every layer but the last has
         its ReLU fused into its ``conv2d`` node."""
-        x = image if isinstance(image, Tensor) else Tensor(image)
+        x = Tensor(image)
         if x.data.ndim != 3 or x.data.shape[2] != self.descriptor.in_channels:
             raise ValueError(
                 f"forward: expected (H,W,{self.descriptor.in_channels}) image, got {x.shape}")

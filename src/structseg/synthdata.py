@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import colorsys
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ AUGMENT_BRIGHTNESS = 0.1
 @dataclass
 class SceneSample:
     image: np.ndarray
-    labels: Optional[np.ndarray]
+    labels: np.ndarray
     seed: int
 
 
@@ -107,16 +107,13 @@ def rasterize_labels(shapes: List[Shape], height: int, width: int) -> np.ndarray
     return labels
 
 
-def generate_scene(rng: Union[np.random.Generator, int], height: int, width: int,
+def generate_scene(seed: int, height: int, width: int,
                    num_classes: int, n_shapes: Optional[int] = None,
                    texture_sigma: float = DEFAULT_TEXTURE_SIGMA) -> SceneSample:
     """Background class 0 plus 2-6 random shapes of classes 1..C-1."""
     if num_classes < 2:
         raise ValueError(f"generate_scene: need at least 2 classes, got {num_classes}")
-    seed = -1
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     shapes = sample_scene_shapes(rng, height, width, num_classes, n_shapes)
     labels = rasterize_labels(shapes, height, width)
     palette = np.array([class_color(cls, num_classes) for cls in range(num_classes)])

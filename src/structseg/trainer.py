@@ -413,9 +413,10 @@ def run_ablation(config_base: TrainConfig, variants: Dict[str, dict],
     return rows
 
 
-def ablation_csv_rows(rows: List[Tuple[str, float, List[float]]]) -> List[str]:
-    n_seeds = len(rows[0][2]) if rows else 0
-    header = "variant,mean_miou," + ",".join(f"miou_seed{i}" for i in range(n_seeds))
+def ablation_csv_rows(rows: List[Tuple[str, float, List[float]]],
+                      seeds: Sequence[int]) -> List[str]:
+    """The CSV of ``run_ablation(..., seeds)``: one mIoU column per run seed."""
+    header = "variant,mean_miou," + ",".join(f"miou_seed{s}" for s in seeds)
     lines = [header]
     for name, mean, scores in rows:
         lines.append(",".join([name, repr(mean)] + [repr(s) for s in scores]))

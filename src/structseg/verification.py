@@ -10,6 +10,7 @@ stacks of maps, so one call gives the differences of a whole input slice.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -24,11 +25,8 @@ FD_STEP = 1e-3
 GRAD_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-10
 
-# Negative control for gradient checking: the recorded backward rule of
-# every op with this name scales its incoming gradient by 1.01;
-# CORRUPTED_NODES counts the nodes it reached.
-CORRUPT_OP: Optional[str] = None
-CORRUPTED_NODES = 0
+# The ops the gradient checks record, each a valid ``corrupt_op``.
+CORRUPTIBLE_OPS = ("softmax", "relaxed_ce", "consistency", "structured_box")
 
 
 def numerical_gradient(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
@@ -71,13 +69,11 @@ def _random_probs(rng: np.random.Generator, shape) -> PredictionMap:
 
 
 def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
-                     logits0: np.ndarray) -> float:
-    global CORRUPTED_NODES
+                     logits0: np.ndarray, corrupt_op: Optional[str]) -> float:
     t = Tensor(logits0, requires_grad=True)
     loss = loss_of_logits(t)
-    for node in tape().nodes:
-        if node.op == CORRUPT_OP:
-            CORRUPTED_NODES += 1
+    for node in tape().nodes:  # the negative control: scale the gradient by 1.01
+        if node.op == corrupt_op:
             node.backward = lambda g, inner=node.backward: inner(g * 1.01)
     backward(loss)
     analytic = t.grad.copy()
@@ -88,7 +84,7 @@ def _loss_grad_error(loss_of_logits: Callable[[Tensor], Tensor],
     return max_rel_error(analytic, numerical_gradient(f, logits0), loss.item())
 
 
-def check_relaxed_ce(seed: int, window: int, shape=(8, 8, 3)) -> float:
+def check_relaxed_ce(seed: int, window: int, shape=(8, 8, 3), corrupt_op=None) -> float:
     rng = np.random.default_rng(seed)
     h, w, c = shape
     logits0 = rng.normal(size=shape)
@@ -100,10 +96,10 @@ def check_relaxed_ce(seed: int, window: int, shape=(8, 8, 3)) -> float:
     def loss(t: Tensor) -> Tensor:
         return relaxed_cross_entropy(PredictionMap.from_logits(t), target, window)
 
-    return _loss_grad_error(loss, logits0)
+    return _loss_grad_error(loss, logits0, corrupt_op)
 
 
-def check_consistency(seed: int, shape=(8, 8, 3)) -> float:
+def check_consistency(seed: int, shape=(8, 8, 3), corrupt_op=None) -> float:
     rng = np.random.default_rng(seed)
     logits0 = rng.normal(size=shape)
     guessed = _random_probs(rng, shape)
@@ -111,11 +107,11 @@ def check_consistency(seed: int, shape=(8, 8, 3)) -> float:
     def loss(t: Tensor) -> Tensor:
         return consistency_loss(PredictionMap.from_logits(t), guessed)
 
-    return _loss_grad_error(loss, logits0)
+    return _loss_grad_error(loss, logits0, corrupt_op)
 
 
 def check_structured_box(seed: int, shape=(8, 8, 3), n_boxes: int = 4,
-                         n_active: int = 2, budget: int = 64) -> float:
+                         n_active: int = 2, budget: int = 64, corrupt_op=None) -> float:
     rng = np.random.default_rng(seed)
     h, w, _ = shape
     logits0 = rng.normal(size=shape)
@@ -127,27 +123,28 @@ def check_structured_box(seed: int, shape=(8, 8, 3), n_boxes: int = 4,
         return structured_consistency_box(
             PredictionMap.from_logits(t), guessed, boxset, pairs)
 
-    return _loss_grad_error(loss, logits0)
+    return _loss_grad_error(loss, logits0, corrupt_op)
 
 
-LOSS_CHECKS: Dict[str, Callable[[int], float]] = {
-    "relaxed_ce_w1": lambda seed: check_relaxed_ce(seed, window=1),
-    "relaxed_ce_w3": lambda seed: check_relaxed_ce(seed, window=3),
+LOSS_CHECKS: Dict[str, Callable[..., float]] = {
+    "relaxed_ce_w1": partial(check_relaxed_ce, window=1),
+    "relaxed_ce_w3": partial(check_relaxed_ce, window=3),
     "consistency": check_consistency,
     "structured_box": check_structured_box,
     # an 8x8 region has at most 64**2 pairs, so this budget never binds
     # and every box takes the exact per-box path
-    "structured_exact": lambda seed: check_structured_box(seed, budget=64 ** 2),
+    "structured_exact": partial(check_structured_box, budget=64 ** 2),
     # every box with two or more pixels is sampled
-    "structured_sampled": lambda seed: check_structured_box(seed, budget=1),
+    "structured_sampled": partial(check_structured_box, budget=1),
 }
 
 
-def run_gradcheck(n_seeds: int = 20, seed0: int = 0) -> Dict[str, float]:
-    """Worst finite-difference error per loss over n_seeds random inputs."""
+def run_gradcheck(n_seeds: int = 20, seed0: int = 0, corrupt_op=None) -> Dict[str, float]:
+    """Worst finite-difference error per loss over n_seeds random inputs,
+    with the backward rule of ``corrupt_op``, one of CORRUPTIBLE_OPS, corrupted."""
     report = {}
     for name, check in LOSS_CHECKS.items():
-        report[name] = max(check(seed0 + s) for s in range(n_seeds))
+        report[name] = max(check(seed0 + s, corrupt_op=corrupt_op) for s in range(n_seeds))
     return report
 
 

@@ -183,7 +183,7 @@ def test_criterion_9_ema_grid(tmp_path):
                        num_boxes=6, num_active_boxes=3, pair_budget=64,
                        epochs=0)
     rows = run_ablation(base, EMA_VARIANTS, seeds=[0, 1, 2])
-    lines = ablation_csv_rows(rows)
+    lines = ablation_csv_rows(rows, [0, 1, 2])
     (tmp_path / "ablation-ema.csv").write_text("\n".join(lines) + "\n")
     by_name = {name: scores for name, _, scores in rows}
     ok = (len(rows) == 4 and len(lines) == 5

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from structseg import cli
 from structseg.checkpoint import read_blob
 from structseg.cli import build_parser, main, resolve_config
 from structseg.cutmix import drop_pairs, generate_boxes
@@ -223,6 +224,14 @@ class TestAblate:
         assert len(lines) == 5
         assert [l.split(",")[0] for l in lines[1:]] == ["X/X", "X/O", "O/X", "O/O"]
 
+    def test_columns_are_named_by_seed(self, tmp_path, tiny_config):
+        out = tmp_path / "abl-seeds"
+        code = main(["ablate", "--config", str(tiny_config), "--grid", "ema",
+                     "--seeds", "3,4,5", "--out-dir", str(out), "--epochs", "0"])
+        assert code == 0
+        header = (out / "ablation-ema.csv").read_text().splitlines()[0]
+        assert header == "variant,mean_miou,miou_seed3,miou_seed4,miou_seed5"
+
     def test_too_few_seeds_exits_2(self, tmp_path, tiny_config):
         code = main(["ablate", "--config", str(tiny_config), "--seeds", "0,1",
                      "--out-dir", str(tmp_path / "abl2")])
@@ -260,15 +269,17 @@ class TestGradcheck:
         assert code == 1
         assert sorted(line.split(":")[0] for line in lines if "FAIL" in line) == legs
 
+    def test_unknown_op_is_refused_before_any_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_gradcheck", lambda **kw: pytest.fail("a check ran"))
+        assert main(["gradcheck", "--corrupt-op", "nosuchop"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --corrupt-op: no checked loss records an op named 'nosuchop'\n")
+
     def test_constant_loss_seed_passes(self, capsys):
         # every 3x3 label window of seed 2984 holds every class, so the
         # window-3 loss is constant and both gradients are rounding noise
         assert main(["gradcheck", "--seed", "2984", "--seeds-count", "1"]) == 0
         assert "FAIL" not in capsys.readouterr().out
-
-    def test_corruption_hook_is_reset(self):
-        main(["gradcheck", "--seeds-count", "1", "--corrupt-op", "softmax"])
-        assert main(["gradcheck", "--seeds-count", "1"]) == 0
 
 
 class TestOracle:
@@ -293,7 +304,7 @@ class TestOracle:
             kinds |= {bp.q is None for bp in pairs.per_box if len(bp) > 0}
             m = [len(bp.region) for bp in pairs.per_box]
             report = "\n".join(lines)
-            assert f"sum min(m^2, 400) = {sum(pairs.counts()):,}\n" in report
+            assert f"sum min(m^2, 400) = {pairs.total_pairs:,}\n" in report
             assert f"sum m^2 = {sum(k * k for k in m):,} pairs" in report
             assert f"{sum(m):,} rows" in report
             assert f"sum m*C^2 = {9 * sum(m):,} multiply-adds" in report
@@ -433,11 +444,12 @@ class TestUsage:
         ["gradcheck", "--seeds-count", "0"],
         ["oracle", "--seeds-count", "0"],
         ["ablate", "--seeds", "0,1,x", "--out-dir", "out"],
+        ["ablate", "--seeds", "0,0,1", "--out-dir", "out"],
         ["gradcheck", "--seeds-count", "1", "--corrupt-op", "nosuchop"],
         ["gradcheck", "--seeds-count", "1", "--corrupt-op", "log"],
         ["dump", "--count", "-1", "--out-dir", "out"],
-    ], ids=["gradcheck", "oracle", "ablate", "corrupt-op-unknown", "corrupt-op-gone",
-            "dump-count"])
+    ], ids=["gradcheck", "oracle", "ablate", "ablate-duplicate-seeds", "corrupt-op-unknown",
+            "corrupt-op-gone", "dump-count"])
     def test_bad_subcommand_arguments_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2

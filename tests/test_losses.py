@@ -430,7 +430,7 @@ def _explicit(pairs):
     """The same pairs, every box listing its flat pairs explicitly, so that
     all of them take the sampled-pair path."""
     return PairSet([BoxPairs(bp.paste_index, bp.region, np.arange(len(bp)))
-                    for bp in pairs.per_box], pairs.budget)
+                    for bp in pairs.per_box])
 
 
 def _value_and_grad(logits0, guessed, bs, pairs):
@@ -462,7 +462,7 @@ class TestStructuredPaths:
             g = _probs(rng, (64, 64, 4))
             bs = generate_boxes(rng, 64, 64, 32, n_box=16)
             fits = PairSet([bp for bp in drop_pairs(bs, 9000, rng).per_box
-                            if bp.q is None and len(bp) > 0], 9000)
+                            if bp.q is None and len(bp) > 0])
             assert len(fits.per_box) >= 8
             exact, g_exact = _value_and_grad(logits0, g, bs, fits)
             pairwise, g_pairwise = _value_and_grad(logits0, g, bs, _explicit(fits))
@@ -522,8 +522,8 @@ class TestStructuredPaths:
             pairs = drop_pairs(bs, 64 ** 4, rng)
             assert rng.bit_generator.state == before
             lo, hi = bs.active_range
-            assert pairs.counts() == [len(bs.effective_regions[k - 1]) ** 2
-                                      for k in range(lo, hi + 1)]
+            assert [len(bp) for bp in pairs.per_box] == [
+                len(bs.effective_regions[k - 1]) ** 2 for k in range(lo, hi + 1)]
             assert all(bp.q is None for bp in pairs.per_box)
 
 
@@ -644,7 +644,7 @@ class TestPairLayout:
     def test_empty_pair_set_warns_on_every_use(self, caplog):
         bs = boxset_from_boxes([Box(0, 0, 2, 2, 1), Box(0, 0, 4, 4, 2)], 8, 8, n_box=2)
         pairs = PairSet([BoxPairs(1, np.empty(0, dtype=np.int64)),
-                         BoxPairs(2, np.empty(0, dtype=np.int64))], 10)
+                         BoxPairs(2, np.empty(0, dtype=np.int64))])
         s = _probs(np.random.default_rng(1), (8, 8, 3))
         with caplog.at_level("WARNING"):
             for _ in range(3):
@@ -714,7 +714,7 @@ class TestStacksOfMaps:
 
     def test_structured_with_no_pairs_is_zero_per_map(self):
         bs = boxset_from_boxes([Box(0, 0, 2, 2, 1)], 8, 8)
-        pairs = PairSet([BoxPairs(1, np.empty(0, dtype=np.int64))], 10)
+        pairs = PairSet([BoxPairs(1, np.empty(0, dtype=np.int64))])
         rng = np.random.default_rng(2)
         s = PredictionMap.from_logits(Tensor(rng.normal(size=(3, 8, 8, 3))))
         loss = structured_consistency_box(s, _probs(rng, (8, 8, 3)), bs, pairs)

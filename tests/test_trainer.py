@@ -167,7 +167,7 @@ class TestBranchToggles:
         rec = tr.train_step()
         assert rec.losses.l_c > 0.0
         assert rec.losses.l_sc >= 0.0
-        assert len(inputs.pairs.counts()) == tr.config.num_active_boxes
+        assert len(inputs.pairs.per_box) == tr.config.num_active_boxes
 
 
 class TestStepMechanics:
@@ -218,9 +218,9 @@ class TestStepMechanics:
         cfg = _cfg(seed=2, pair_budget=17)
         tr = Trainer(cfg)
         for _ in range(6):
-            counts = copy.deepcopy(tr).draw_inputs().pairs.counts()
+            pairs = copy.deepcopy(tr).draw_inputs().pairs
             tr.train_step()
-            assert sum(counts) <= cfg.num_active_boxes * cfg.pair_budget
+            assert pairs.total_pairs <= cfg.num_active_boxes * cfg.pair_budget
 
     def test_teacher_params_never_hold_gradients(self):
         tr = Trainer(_cfg(seed=0))
@@ -311,7 +311,7 @@ class TestAblation:
     def test_loss_grid_emits_three_rows(self):
         rows = run_ablation(_cfg(epochs=1), LOSS_VARIANTS, seeds=[0, 1, 2])
         assert [r[0] for r in rows] == ["sup", "sup+c", "sup+c+sc"]
-        lines = ablation_csv_rows(rows)
+        lines = ablation_csv_rows(rows, [0, 1, 2])
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("variant,mean_miou")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from structseg import verification
+from structseg.tensor import backward, tape
 from structseg.verification import FD_STEP, LOSS_CHECKS
 from fd_helpers import numerical_gradient_per_entry
 from memory_helpers import traced_peak
@@ -27,6 +28,20 @@ def test_batched_differences_match_the_per_entry_loop(name, monkeypatch):
     for seed in range(30):
         LOSS_CHECKS[name](seed)
     assert compared == [True] * 30
+
+
+def test_corruptible_ops_are_the_ops_the_checks_record(monkeypatch):
+    """``cli`` refuses a ``--corrupt-op`` outside CORRUPTIBLE_OPS before any
+    check runs, so the list must name exactly the ops on the checks' tapes."""
+    recorded = set()
+
+    def recording(loss):
+        recorded.update(node.op for node in tape().nodes)
+        backward(loss)
+
+    monkeypatch.setattr(verification, "backward", recording)
+    verification.run_gradcheck(n_seeds=1)
+    assert recorded == set(verification.CORRUPTIBLE_OPS)
 
 
 def test_stack_rows_perturb_one_entry_each():
